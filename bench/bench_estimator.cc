@@ -71,6 +71,16 @@ struct ServiceRun {
   uint64_t plan_misses = 0;
 };
 
+/// Installs `synopsis` as "xmark" in `service`, exiting on failure.
+void InstallOrDie(EstimationService& service, const XCluster& synopsis) {
+  auto installed = service.store().Install("xmark", synopsis);
+  if (!installed.ok()) {
+    std::fprintf(stderr, "bench_estimator: install: %s\n",
+                 installed.status().ToString().c_str());
+    std::exit(1);
+  }
+}
+
 ServiceRun RunService(const XCluster& synopsis,
                       const std::vector<std::string>& queries,
                       size_t plan_capacity) {
@@ -78,7 +88,7 @@ ServiceRun RunService(const XCluster& synopsis,
   options.executor.num_threads = 0;
   options.plan_cache_capacity = plan_capacity;
   EstimationService service(options);
-  service.store().Install("xmark", XCluster(synopsis));
+  InstallOrDie(service, synopsis);
 
   // Pre-warm the snapshot's reach caches (and, when enabled, the plan
   // cache) so the timed loop measures steady state.
@@ -131,7 +141,7 @@ JsonValue ServiceEntry(const std::string& name, const ServiceRun& run) {
 }
 
 /// Batch-size sweep: drives the workload through EstimateBatch in batches
-/// of `batch_size` (vectorized path, inline executor) and reports the
+/// of `batch_size` (inline executor) and reports the
 /// amortization curve — qps plus the average group/lane shape per batch.
 /// `plan_capacity` 0 = cold plans (every batch re-parses, re-compiles,
 /// re-groups); 4096 = warm (grouping runs over cached plan pointers).
@@ -148,7 +158,7 @@ SweepRun RunBatchSweep(const XCluster& synopsis,
   options.executor.num_threads = 0;
   options.plan_cache_capacity = plan_capacity;
   EstimationService service(options);
-  service.store().Install("xmark", XCluster(synopsis));
+  InstallOrDie(service, synopsis);
 
   // Reach caches are pre-warmed in both configurations so the sweep
   // isolates per-batch compile + grouping + lane amortization, not
@@ -322,36 +332,31 @@ int Main(int argc, char** argv) {
       JsonValue::Number(warm.p50_ns < cold.p50_ns ? 1.0 : 0.0);
   entries.items().push_back(std::move(compare));
 
-  // --- 3. Batch-mode bit identity + batch-size sweep -------------------
-  // Hard gate first: one vectorized EstimateBatch over the whole query
-  // vector must match the scalar-mode batch slot for slot, bit for bit.
+  // --- 3. Batch bit identity + batch-size sweep ------------------------
+  // Hard gate first: one EstimateBatch over the whole query vector must
+  // match FlatEstimator::Estimate on the same plans slot for slot, bit for
+  // bit.
   {
     ServiceOptions service_options;
     service_options.executor.num_threads = 0;
     EstimationService service(service_options);
-    service.store().Install("xmark", XCluster(synopsis));
-    BatchOptions vectorized;
-    BatchOptions scalar_mode;
-    scalar_mode.vectorize = false;
-    BatchResult batched =
-        service.EstimateBatch("xmark", query_strings, vectorized);
-    BatchResult scalar =
-        service.EstimateBatch("xmark", query_strings, scalar_mode);
+    InstallOrDie(service, synopsis);
+    BatchResult batched = service.EstimateBatch("xmark", query_strings);
     size_t batch_mismatches = 0;
     for (size_t i = 0; i < query_strings.size(); ++i) {
-      if (batched.results[i].estimate != scalar.results[i].estimate ||
-          batched.results[i].status.ok() != scalar.results[i].status.ok()) {
+      if (!batched.results[i].status.ok() ||
+          batched.results[i].estimate != flat_estimator.Estimate(plans[i])) {
         ++batch_mismatches;
       }
     }
     if (batch_mismatches > 0) {
       std::fprintf(stderr,
-                   "bench_estimator: FAIL: %zu batch-vs-scalar mismatches\n",
+                   "bench_estimator: FAIL: %zu batch-vs-flat mismatches\n",
                    batch_mismatches);
       return 1;
     }
     std::fprintf(stderr,
-                 "bench_estimator: batch mode bit-identical on %zu slots "
+                 "bench_estimator: batch bit-identical on %zu slots "
                  "(%zu groups, %zu lanes)\n",
                  query_strings.size(), batched.stats.batch_groups,
                  batched.stats.vector_lanes);

@@ -222,7 +222,13 @@ int Main(int argc, char** argv) {
   service_options.executor.num_threads = config.workers;
   service_options.executor.queue_capacity = 4096;
   EstimationService service(service_options);
-  service.store().Install("xmark", XCluster(GraphSynopsis(reference)));
+  auto installed =
+      service.store().Install("xmark", XCluster(GraphSynopsis(reference)));
+  if (!installed.ok()) {
+    std::fprintf(stderr, "bench_net: install: %s\n",
+                 installed.status().ToString().c_str());
+    return 1;
+  }
 
   // In-process baseline, which also warms the reach/plan caches so every
   // loopback run measures transport + steady-state serving.

@@ -37,10 +37,8 @@ batch books 3
 //book
 //book[/price]
 ][broken
-batch books 2 mode=scalar
-//book
-//book[/price]
-batch books 2 mode=batch
+estimate books //book[/price]
+batch books 2
 //book
 //book[/price]
 stats
@@ -71,25 +69,25 @@ expect_line 8 '^ok batch n=3 ok=2 err=1 us=[0-9]+'
 expect_line 9 '^0 ok [0-9.eE+-]+ us=[0-9]+'
 expect_line 10 '^1 ok [0-9.eE+-]+ us=[0-9]+'
 expect_line 11 '^2 err InvalidArgument'
-expect_line 12 '^ok batch n=2 ok=2 err=0 us=[0-9]+'
-expect_line 13 '^0 ok [0-9.eE+-]+ us=[0-9]+'
-expect_line 14 '^1 ok [0-9.eE+-]+ us=[0-9]+'
-expect_line 15 '^ok batch n=2 ok=2 err=0 us=[0-9]+'
-expect_line 16 '^0 ok [0-9.eE+-]+ us=[0-9]+'
-expect_line 17 '^1 ok [0-9.eE+-]+ us=[0-9]+'
-expect_line 18 '^ok stats synopses=1 workers=2 '
-expect_line 19 '^ok drop books$'
-expect_line 20 '^ok bye$'
-[ "$(wc -l < "$WORKDIR/out.txt")" -eq 20 ] \
-  || fail "expected exactly 20 response lines"
+expect_line 12 '^ok estimate [0-9.eE+-]+ us=[0-9]+'
+expect_line 13 '^ok batch n=2 ok=2 err=0 us=[0-9]+'
+expect_line 14 '^0 ok [0-9.eE+-]+ us=[0-9]+'
+expect_line 15 '^1 ok [0-9.eE+-]+ us=[0-9]+'
+expect_line 16 '^ok stats synopses=1 workers=2 '
+expect_line 17 '^ok drop books$'
+expect_line 18 '^ok bye$'
+[ "$(wc -l < "$WORKDIR/out.txt")" -eq 18 ] \
+  || fail "expected exactly 18 response lines"
 
-# mode=scalar and mode=batch must report the identical estimate strings
-# (the vectorized engine is gated to be bit-identical to the scalar DP).
-for item in 0 1; do
-  scalar_est="$(sed -n "$((13 + item))p" "$WORKDIR/out.txt" | awk '{print $3}')"
-  batch_est="$(sed -n "$((16 + item))p" "$WORKDIR/out.txt" | awk '{print $3}')"
-  [ "$scalar_est" = "$batch_est" ] \
-    || fail "scalar/batch estimate mismatch on item $item: $scalar_est vs $batch_est"
+# Every batch slot must report the identical estimate string as the
+# single-query `estimate` line for the same query (batches are gated to be
+# bit-identical to the inline estimator). Line 5 answers //book, line 12
+# //book[/price]; both batches carry them as items 0 and 1.
+field() { sed -n "${1}p" "$WORKDIR/out.txt" | awk '{print $3}'; }
+for pair in "5 9" "12 10" "5 14" "12 15"; do
+  set -- $pair
+  [ "$(field "$1")" = "$(field "$2")" ] \
+    || fail "estimate/batch mismatch: line $1 $(field "$1") vs line $2 $(field "$2")"
 done
 
 # 3. Multi-query estimate through the synopsis store.

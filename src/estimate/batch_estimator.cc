@@ -57,11 +57,18 @@ void BatchEstimator::EstimateGroup(const FlatEstimator& estimator,
                                    const BatchPlan::Group& group,
                                    BatchReachTier* tier,
                                    std::vector<double>* lane_estimates) {
-  XCLUSTER_TRACE_SPAN("estimate.batch_group");
-  XCLUSTER_SCOPED_TIMER_NS("estimate.batch_group_ns");
   const size_t L = group.plans.size();
   lane_estimates->assign(L, 0.0);
   if (L == 0) return;
+  // A one-lane group shares nothing: the scalar DP, with its zero
+  // short-circuits and no per-group tables, is cheaper than the lane
+  // kernel (docs/PERFORMANCE.md "When a batch degenerates to scalar").
+  if (L == 1) {
+    (*lane_estimates)[0] = estimator.Estimate(*group.plans[0]);
+    return;
+  }
+  XCLUSTER_TRACE_SPAN("estimate.batch_group");
+  XCLUSTER_SCOPED_TIMER_NS("estimate.batch_group_ns");
   const FlatSynopsis& synopsis = estimator.synopsis();
   const CompiledTwig& skeleton = *group.plans.front();
   const FlatNodeId root = synopsis.root();

@@ -91,7 +91,8 @@ class BatchEstimator {
   /// Evaluates `group` against `estimator`'s synopsis, writing one
   /// estimate per lane into `lane_estimates` (resized to
   /// group.num_lanes()). `tier` is the batch-wide reach sharing map; one
-  /// tier serves all groups of a batch.
+  /// tier serves all groups of a batch. A one-lane group skips the lane
+  /// kernel and returns FlatEstimator::Estimate directly.
   static void EstimateGroup(const FlatEstimator& estimator,
                             const BatchPlan::Group& group,
                             BatchReachTier* tier,

@@ -51,21 +51,13 @@ std::shared_ptr<const CompiledTwig> ResolvePlan(const StoredSynopsis& snapshot,
 }
 
 /// Estimates one query against a snapshot through the compiled-plan path,
-/// writing the outcome into `result`. `deadline_ns` is absolute monotonic
-/// (0 = none); it is re-checked here so a query that reached a worker just
-/// under the wire still fails fast instead of burning the budget further.
+/// writing the outcome into `result`.
 void ProcessQuery(const StoredSynopsis& snapshot, const PlanCache& plans,
                   const std::string& query, bool explain,
-                  uint64_t deadline_ns,
                   telemetry::LatencyHistogram* lane_latency,
                   QueryResult* result) {
   XCLUSTER_TRACE_SPAN("service.query");
   const uint64_t start_ns = telemetry::MonotonicNowNs();
-  if (deadline_ns != 0 && start_ns > deadline_ns) {
-    result->status = Status::DeadlineExceeded("batch deadline expired");
-    XCLUSTER_COUNTER_INC("service.requests.deadline_exceeded");
-    return;
-  }
   std::shared_ptr<const CompiledTwig> plan =
       ResolvePlan(snapshot, plans, query, &result->status);
   if (plan == nullptr) return;
@@ -171,7 +163,7 @@ QueryResult EstimationService::EstimateOne(const std::string& collection,
         Status::NotFound("no synopsis named '" + collection + "'");
     return result;
   }
-  ProcessQuery(*snapshot, plan_cache_, query, explain, /*deadline_ns=*/0,
+  ProcessQuery(*snapshot, plan_cache_, query, explain,
                lane_latency_[static_cast<size_t>(Lane::kInteractive)],
                &result);
   return result;
@@ -307,21 +299,21 @@ BatchResult EstimationService::EstimateBatch(
   telemetry::LatencyHistogram* lane_latency =
       lane_latency_[static_cast<size_t>(options.lane)];
 
-  // Slot-per-query completion tracking: tasks write disjoint slots, so
-  // only the done-counter needs the lock. On the vectorized path one task
-  // covers a whole lane group and advances `done` by the group's slot
-  // count; the batch is finished when every *slot* is accounted for.
+  // Slot-per-query completion tracking: one task covers a whole lane
+  // group and writes only that group's slots, so only the done-counter
+  // needs the lock. The batch is finished when every *slot* is accounted
+  // for.
   std::mutex mu;
   std::condition_variable all_done;
   size_t done = 0;
 
-  // Flow-control submit shared by both paths: when the bounded executor
-  // queue is full, wait for one of our own completions to free a slot,
-  // then resubmit. The wait is bounded — the queue may be full of a
-  // *different* batch's tasks while none of ours are in flight, in which
-  // case only retrying can make progress. Raw Executor::Submit callers
-  // keep the hard ResourceExhausted; only the batch API absorbs it.
-  // Returns OK or the shutdown status (the task never ran).
+  // Flow-control submit: when the bounded executor queue is full, wait
+  // for one of our own completions to free a slot, then resubmit. The wait
+  // is bounded — the queue may be full of a *different* batch's tasks
+  // while none of ours are in flight, in which case only retrying can make
+  // progress. Raw Executor::Submit callers keep the hard
+  // ResourceExhausted; only the batch API absorbs it. Returns OK or the
+  // shutdown status (the task never ran).
   auto submit_with_flow_control = [&](Executor::Task task) {
     for (;;) {
       Status submitted = admission_->Submit(batch_id, task, deadline_ns);
@@ -336,190 +328,123 @@ BatchResult EstimationService::EstimateBatch(
     }
   };
 
-  // Vectorized-path state; declared at function scope because group tasks
-  // reference it until the completion wait below.
-  std::vector<std::shared_ptr<const CompiledTwig>> batch_plans;
+  // Compile on the calling thread and partition into lane groups. Parse
+  // failures complete here (no task is submitted yet, so no lock); their
+  // slots appear in no group. `batch_plans` pins the plans until the
+  // completion wait below.
+  std::vector<std::shared_ptr<const CompiledTwig>> batch_plans(queries.size());
   BatchPlan partition;
-  std::unique_ptr<BatchReachTier> reach_tier;
-
-  const bool vectorize = options.vectorize && !options.explain;
-  if (vectorize) {
-    // --- Vectorized path: compile on the calling thread, partition into
-    // lane groups, one executor task per group. ---------------------------
-    {
-      XCLUSTER_TRACE_SPAN("plan.batch_partition");
-      batch_plans.resize(queries.size());
-      std::vector<const CompiledTwig*> raw_plans(queries.size(), nullptr);
-      size_t invalid = 0;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        batch_plans[i] =
-            ResolvePlan(*snapshot, plan_cache_, queries[i],
-                        &batch.results[i].status);
-        if (batch_plans[i] == nullptr) {
-          // Parse failures complete immediately on the calling thread;
-          // their slots appear in no lane group.
-          ++invalid;
-        } else {
-          raw_plans[i] = batch_plans[i].get();
-        }
-      }
-      partition = BatchPlan::Build(raw_plans);
-      batch.stats.batch_groups = partition.num_groups();
-      batch.stats.vector_lanes = partition.num_lanes();
-      if (invalid > 0) {
-        std::lock_guard<std::mutex> lock(mu);
-        done += invalid;
-      }
-    }
-    reach_tier =
-        std::make_unique<BatchReachTier>(&snapshot->flat_estimator().reach_cache());
-
-    auto make_group_task = [&](size_t group_index) {
-      return [&, group_index](const Executor::TaskContext& ctx) {
-        telemetry::ScopedTraceContext task_scope(options.trace);
-        const BatchPlan::Group& group = partition.groups()[group_index];
-        const size_t num_slots = group.num_slots();
-#if XCLUSTER_TELEMETRY_ENABLED
-        EmitQueueWaitEvent(ctx.queue_ns);
-#endif
-        const uint64_t task_start_ns = telemetry::MonotonicNowNs();
-        Status failure;
-        if (ctx.cancelled) {
-          failure = Status::Unsupported("executor shut down mid-batch");
-        } else if (ctx.deadline_expired ||
-                   (deadline_ns != 0 && task_start_ns > deadline_ns)) {
-          failure = Status::DeadlineExceeded("batch deadline expired");
-          XCLUSTER_COUNTER_ADD("service.requests.deadline_exceeded",
-                               num_slots);
-        }
-        if (!failure.ok()) {
-          for (const std::vector<uint32_t>& slots : group.lane_slots) {
-            for (const uint32_t slot : slots) {
-              batch.results[slot].status = failure;
-              batch.results[slot].queue_ns = ctx.queue_ns;
-            }
-          }
-        } else {
-          XCLUSTER_TRACE_SPAN("executor.task");
-          std::vector<double> lane_estimates;
-          BatchEstimator::EstimateGroup(snapshot->flat_estimator(), group,
-                                        reach_tier.get(), &lane_estimates);
-          // The group runs as one unit: per-slot latency is the group wall
-          // time amortized over its slots, so batch-level quantiles stay
-          // comparable with the scalar path.
-          const uint64_t wall_ns =
-              telemetry::MonotonicNowNs() - task_start_ns;
-          const uint64_t slot_ns =
-              num_slots == 0 ? 0 : wall_ns / num_slots;
-          for (size_t lane = 0; lane < group.lane_slots.size(); ++lane) {
-            for (const uint32_t slot : group.lane_slots[lane]) {
-              QueryResult& result = batch.results[slot];
-              result.status = Status::OK();
-              result.estimate = lane_estimates[lane];
-              result.latency_ns = slot_ns;
-              result.queue_ns = ctx.queue_ns;
-              lane_latency->Record(slot_ns);
-              XCLUSTER_HISTOGRAM_RECORD_NS("service.request_latency_ns",
-                                           slot_ns);
-            }
-          }
-          XCLUSTER_COUNTER_ADD("service.requests.ok", num_slots);
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        done += num_slots;
-        all_done.notify_all();
-      };
-    };
-
-    for (size_t g = 0; g < partition.num_groups(); ++g) {
-      const size_t group_slots = partition.groups()[g].num_slots();
-      // Fail fast once the batch deadline has passed: every remaining
-      // group is failed here, without paying dispatch overhead or
-      // invoking the estimator.
-      if (deadline_ns != 0 && telemetry::MonotonicNowNs() > deadline_ns) {
-        size_t expired = 0;
-        for (size_t j = g; j < partition.num_groups(); ++j) {
-          for (const std::vector<uint32_t>& slots :
-               partition.groups()[j].lane_slots) {
-            for (const uint32_t slot : slots) {
-              batch.results[slot].status =
-                  Status::DeadlineExceeded("batch deadline expired");
-              ++expired;
-            }
-          }
-        }
-        XCLUSTER_COUNTER_ADD("service.requests.deadline_exceeded", expired);
-        std::lock_guard<std::mutex> lock(mu);
-        done += expired;
-        break;
-      }
-      Status submitted = submit_with_flow_control(make_group_task(g));
-      if (!submitted.ok()) {
-        // Shut down: fail the group's slots ourselves; the task never ran.
-        for (const std::vector<uint32_t>& slots :
-             partition.groups()[g].lane_slots) {
-          for (const uint32_t slot : slots) {
-            batch.results[slot].status = submitted;
-          }
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        done += group_slots;
-      }
-    }
-  } else {
-    // --- Scalar path: one executor task per query. -----------------------
-    auto make_task = [&](QueryResult* slot, const std::string* query) {
-      return [&, slot, query](const Executor::TaskContext& ctx) {
-        // Worker threads carry no context of their own; adopt the
-        // request's for the duration of this task so spans attribute
-        // correctly.
-        telemetry::ScopedTraceContext task_scope(options.trace);
-        slot->queue_ns = ctx.queue_ns;
-#if XCLUSTER_TELEMETRY_ENABLED
-        EmitQueueWaitEvent(ctx.queue_ns);
-#endif
-        if (ctx.cancelled) {
-          slot->status = Status::Unsupported("executor shut down mid-batch");
-        } else if (ctx.deadline_expired) {
-          slot->status =
-              Status::DeadlineExceeded("batch deadline expired in queue");
-          XCLUSTER_COUNTER_INC("service.requests.deadline_exceeded");
-        } else {
-          XCLUSTER_TRACE_SPAN("executor.task");
-          ProcessQuery(*snapshot, plan_cache_, *query, options.explain,
-                       deadline_ns, lane_latency, slot);
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        ++done;
-        all_done.notify_all();
-      };
-    };
-
+  {
+    XCLUSTER_TRACE_SPAN("plan.batch_partition");
+    std::vector<const CompiledTwig*> raw_plans(queries.size(), nullptr);
     for (size_t i = 0; i < queries.size(); ++i) {
-      QueryResult* slot = &batch.results[i];
-      const std::string* query = &queries[i];
-      // Fail fast once the batch deadline has passed: every remaining
-      // queued query is marked deadline_expired here, without paying
-      // per-task dispatch overhead or invoking the estimator.
-      if (deadline_ns != 0 && telemetry::MonotonicNowNs() > deadline_ns) {
-        size_t expired = 0;
-        for (size_t j = i; j < queries.size(); ++j) {
-          batch.results[j].status =
-              Status::DeadlineExceeded("batch deadline expired");
-          ++expired;
-        }
-        XCLUSTER_COUNTER_ADD("service.requests.deadline_exceeded", expired);
-        std::lock_guard<std::mutex> lock(mu);
-        done += expired;
-        break;
-      }
-      Status submitted = submit_with_flow_control(make_task(slot, query));
-      if (!submitted.ok()) {
-        // Shut down: fail the slot ourselves; the task never ran.
-        slot->status = std::move(submitted);
-        std::lock_guard<std::mutex> lock(mu);
+      batch_plans[i] = ResolvePlan(*snapshot, plan_cache_, queries[i],
+                                   &batch.results[i].status);
+      if (batch_plans[i] == nullptr) {
         ++done;
+      } else {
+        raw_plans[i] = batch_plans[i].get();
       }
+    }
+    partition = BatchPlan::Build(raw_plans);
+    batch.stats.batch_groups = partition.num_groups();
+    batch.stats.vector_lanes = partition.num_lanes();
+  }
+  const FlatEstimator& estimator = snapshot->flat_estimator();
+  BatchReachTier reach_tier(&estimator.reach_cache());
+
+  auto fail_group = [&](const BatchPlan::Group& group, const Status& status,
+                        uint64_t queue_ns) {
+    for (const std::vector<uint32_t>& slots : group.lane_slots) {
+      for (const uint32_t slot : slots) {
+        batch.results[slot].status = status;
+        batch.results[slot].queue_ns = queue_ns;
+      }
+    }
+  };
+
+  auto make_group_task = [&](size_t group_index) {
+    return [&, group_index](const Executor::TaskContext& ctx) {
+      // Worker threads carry no context of their own; adopt the request's
+      // for the duration of this task so spans attribute correctly.
+      telemetry::ScopedTraceContext task_scope(options.trace);
+      const BatchPlan::Group& group = partition.groups()[group_index];
+      const size_t num_slots = group.num_slots();
+#if XCLUSTER_TELEMETRY_ENABLED
+      EmitQueueWaitEvent(ctx.queue_ns);
+#endif
+      const uint64_t task_start_ns = telemetry::MonotonicNowNs();
+      if (ctx.cancelled) {
+        fail_group(group, Status::Unsupported("executor shut down mid-batch"),
+                   ctx.queue_ns);
+      } else if (ctx.deadline_expired ||
+                 (deadline_ns != 0 && task_start_ns > deadline_ns)) {
+        fail_group(group, Status::DeadlineExceeded("batch deadline expired"),
+                   ctx.queue_ns);
+        XCLUSTER_COUNTER_ADD("service.requests.deadline_exceeded", num_slots);
+      } else {
+        XCLUSTER_TRACE_SPAN("executor.task");
+        std::vector<double> lane_estimates;
+        std::vector<std::string> explanations;
+        if (options.explain) {
+          // EXPLAIN is per query by nature: one Explain per lane, copied
+          // to the lane's duplicate slots like an estimate.
+          for (const CompiledTwig* plan : group.plans) {
+            EstimateExplanation explanation = estimator.Explain(*plan);
+            lane_estimates.push_back(explanation.selectivity);
+            explanations.push_back(explanation.ToString());
+          }
+        } else {
+          BatchEstimator::EstimateGroup(estimator, group, &reach_tier,
+                                        &lane_estimates);
+        }
+        // The group runs as one unit: per-slot latency is the group wall
+        // time amortized over its slots.
+        const uint64_t slot_ns =
+            (telemetry::MonotonicNowNs() - task_start_ns) / num_slots;
+        for (size_t lane = 0; lane < group.lane_slots.size(); ++lane) {
+          for (const uint32_t slot : group.lane_slots[lane]) {
+            QueryResult& result = batch.results[slot];
+            result.status = Status::OK();
+            result.estimate = lane_estimates[lane];
+            if (options.explain) result.explanation = explanations[lane];
+            result.latency_ns = slot_ns;
+            result.queue_ns = ctx.queue_ns;
+            lane_latency->Record(slot_ns);
+            XCLUSTER_HISTOGRAM_RECORD_NS("service.request_latency_ns",
+                                         slot_ns);
+          }
+        }
+        XCLUSTER_COUNTER_ADD("service.requests.ok", num_slots);
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      done += num_slots;
+      all_done.notify_all();
+    };
+  };
+
+  for (size_t g = 0; g < partition.num_groups(); ++g) {
+    // Fail fast once the batch deadline has passed: every remaining group
+    // is failed here, without paying dispatch overhead or invoking the
+    // estimator.
+    if (deadline_ns != 0 && telemetry::MonotonicNowNs() > deadline_ns) {
+      size_t expired = 0;
+      for (size_t j = g; j < partition.num_groups(); ++j) {
+        fail_group(partition.groups()[j],
+                   Status::DeadlineExceeded("batch deadline expired"), 0);
+        expired += partition.groups()[j].num_slots();
+      }
+      XCLUSTER_COUNTER_ADD("service.requests.deadline_exceeded", expired);
+      std::lock_guard<std::mutex> lock(mu);
+      done += expired;
+      break;
+    }
+    Status submitted = submit_with_flow_control(make_group_task(g));
+    if (!submitted.ok()) {
+      // Shut down: fail the group's slots ourselves; the task never ran.
+      fail_group(partition.groups()[g], submitted, 0);
+      std::lock_guard<std::mutex> lock(mu);
+      done += partition.groups()[g].num_slots();
     }
   }
 

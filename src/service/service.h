@@ -71,15 +71,6 @@ struct BatchOptions {
   /// themselves bulk so they never starve point queries.
   Lane lane = Lane::kInteractive;
 
-  /// Evaluate the batch through the vectorized lane-group engine
-  /// (BatchPlan/BatchEstimator): queries are compiled up front, grouped
-  /// by plan skeleton, and each group runs the embedding DP once with
-  /// queries as lanes — bit-identical to the scalar path (enforced by
-  /// tests and bench gates), just faster. false forces the legacy one
-  /// task-per-query scalar path; explain batches always take the scalar
-  /// path (the EXPLAIN DP is per-query by nature).
-  bool vectorize = true;
-
   /// Request trace context. A zero trace id records a flight entry with no
   /// trace identity; a nonzero id is carried through admission, executor,
   /// and estimation spans (when sampled) and into the flight ring.
@@ -107,9 +98,11 @@ struct BatchStats {
   uint64_t p95_latency_ns = 0;
   uint64_t max_latency_ns = 0;
 
-  /// Vectorized-path shape: lane groups the batch partitioned into and
-  /// distinct lanes evaluated (duplicate queries share a lane). Both 0
-  /// when the batch ran the scalar path.
+  /// Batch shape, filled for every batch that reaches execution: the
+  /// lane groups (executor tasks) the batch partitioned into, and the
+  /// distinct plans evaluated across them (duplicate queries share one
+  /// lane). Both are 0 only for a batch shed or failed before any plan
+  /// was resolved.
   size_t batch_groups = 0;
   size_t vector_lanes = 0;
 };
@@ -129,9 +122,10 @@ struct BatchResult {
 /// In-process estimation service: the serving layer over the library.
 ///
 /// Holds a SynopsisStore (named, hot-swappable synopsis snapshots) and an
-/// Executor (bounded thread pool). EstimateBatch parses, validates, and
-/// fans a vector of twig-query strings across the workers, returning
-/// per-query results in request order plus aggregate latency stats.
+/// Executor (bounded thread pool). EstimateBatch resolves a vector of
+/// twig-query strings to compiled plans, groups them by skeleton, and fans
+/// the groups across the workers, returning per-query results in request
+/// order plus aggregate latency stats.
 ///
 /// Determinism: a batch estimated with 0, 1, or N worker threads produces
 /// bit-identical estimates and identical explanations — per-query work
@@ -182,8 +176,13 @@ class EstimationService {
                           const std::string& query,
                           bool explain = false) const;
 
-  /// Fans `queries` across the worker pool against the current snapshot
-  /// of `collection`. Applies flow control on top of the executor's
+  /// Estimates `queries` against the current snapshot of `collection`.
+  /// Plans are resolved through the plan cache on the calling thread, then
+  /// deduplicated and grouped by skeleton (BatchPlan); each group runs as
+  /// one executor task — BatchEstimator::EstimateGroup, or
+  /// FlatEstimator::Explain per lane when `options.explain` is set. Every
+  /// slot equals EstimateOne for the same query. Applies flow control on
+  /// top of the executor's
   /// backpressure: when the bounded queue is full, submission waits for
   /// completions rather than failing the remainder of the batch (raw
   /// Executor::Submit users still get ResourceExhausted). An unknown

@@ -9,6 +9,7 @@
 #include "common/telemetry/telemetry.h"
 #include "core/serialize.h"
 #include "storage/xcsf_format.h"
+#include "storage/xcsf_writer.h"
 
 namespace xcluster {
 
@@ -29,23 +30,6 @@ std::string SpoolFileName(const std::string& name) {
 
 }  // namespace
 
-StoredSynopsis::StoredSynopsis(std::string name, XCluster synopsis,
-                               uint64_t generation, EstimateOptions options,
-                               std::string source)
-    : name_(std::move(name)),
-      xcluster_(std::make_unique<XCluster>(std::move(synopsis))),
-      generation_(generation),
-      source_(std::move(source)),
-      installed_ns_(telemetry::MonotonicNowNs()) {
-  // Constructed after xcluster_ has reached its final address: the
-  // estimators and the flat compilation all hold references into it.
-  estimator_ =
-      std::make_unique<XClusterEstimator>(xcluster_->synopsis(), options);
-  flat_ = std::make_unique<FlatSynopsis>(xcluster_->synopsis());
-  flat_ptr_ = flat_.get();
-  flat_estimator_ = std::make_unique<FlatEstimator>(*flat_ptr_, options);
-}
-
 StoredSynopsis::StoredSynopsis(std::string name, storage::XcsfMmapView view,
                                uint64_t generation, EstimateOptions options,
                                std::string source)
@@ -54,32 +38,17 @@ StoredSynopsis::StoredSynopsis(std::string name, storage::XcsfMmapView view,
       generation_(generation),
       source_(std::move(source)),
       installed_ns_(telemetry::MonotonicNowNs()) {
-  // No graph, no compile: the view's FlatSynopsis serves directly. Its
-  // address is stable across the view_ move above (held by unique_ptr
-  // inside the view).
-  flat_ptr_ = &view_->flat();
-  flat_estimator_ = std::make_unique<FlatEstimator>(*flat_ptr_, options);
+  // The view's FlatSynopsis serves directly. Its address is stable across
+  // the view_ move above (held by unique_ptr inside the view).
+  flat_estimator_ = std::make_unique<FlatEstimator>(view_.flat(), options);
 }
 
 std::shared_ptr<const StoredSynopsis> StoredSynopsis::Make(
-    std::string name, XCluster synopsis, uint64_t generation,
-    EstimateOptions options, std::string source) {
-  return std::shared_ptr<const StoredSynopsis>(
-      new StoredSynopsis(std::move(name), std::move(synopsis), generation,
-                         options, std::move(source)));
-}
-
-std::shared_ptr<const StoredSynopsis> StoredSynopsis::MakeMapped(
     std::string name, storage::XcsfMmapView view, uint64_t generation,
     EstimateOptions options, std::string source) {
   return std::shared_ptr<const StoredSynopsis>(
       new StoredSynopsis(std::move(name), std::move(view), generation,
                          options, std::move(source)));
-}
-
-size_t StoredSynopsis::size_bytes() const {
-  if (mapped()) return view_->image_bytes();
-  return xcluster_->SizeBytes();
 }
 
 SynopsisStore::SynopsisStore(size_t num_shards,
@@ -110,9 +79,15 @@ uint64_t SynopsisStore::AssignGeneration(uint64_t generation) {
   return generation;
 }
 
-std::shared_ptr<const StoredSynopsis> SynopsisStore::Publish(
-    const std::string& name, std::shared_ptr<const StoredSynopsis> snapshot,
-    bool pinned) {
+Result<std::shared_ptr<const StoredSynopsis>> SynopsisStore::Publish(
+    const std::string& name, storage::XcsfMmapView view, uint64_t generation,
+    std::string source) {
+  const bool pinned = generation != 0;
+  // Build the snapshot (estimator construction included) before touching
+  // the shard, so the lock covers only the pointer swap.
+  std::shared_ptr<const StoredSynopsis> snapshot = StoredSynopsis::Make(
+      name, std::move(view), AssignGeneration(generation), estimator_options_,
+      std::move(source));
   Shard& shard = ShardFor(name);
   std::shared_ptr<const StoredSynopsis> replaced;  // destroyed outside lock
   {
@@ -127,7 +102,10 @@ std::shared_ptr<const StoredSynopsis> SynopsisStore::Publish(
         // order.
         if (pinned && entry->generation() >= snapshot->generation()) {
           XCLUSTER_COUNTER_INC("service.store.stale_installs");
-          return nullptr;
+          return Status::InvalidArgument(
+              "stale install of " + name + ": pinned generation " +
+              std::to_string(generation) + " <= installed generation " +
+              std::to_string(entry->generation()));
         }
         replaced = std::move(entry);
         entry = snapshot;
@@ -141,100 +119,77 @@ std::shared_ptr<const StoredSynopsis> SynopsisStore::Publish(
   return snapshot;
 }
 
-std::shared_ptr<const StoredSynopsis> SynopsisStore::Install(
-    const std::string& name, XCluster synopsis, uint64_t generation,
+Result<std::shared_ptr<const StoredSynopsis>> SynopsisStore::Install(
+    const std::string& name, const XCluster& synopsis, uint64_t generation,
     std::string source) {
-  const bool pinned = generation != 0;
-  generation = AssignGeneration(generation);
-  // Build the snapshot (estimator construction included) before touching
-  // the shard, so the lock covers only the pointer swap.
-  auto snapshot = StoredSynopsis::Make(name, std::move(synopsis), generation,
-                                       estimator_options_, std::move(source));
-  return Publish(name, std::move(snapshot), pinned);
+  std::string image;
+  XC_RETURN_IF_ERROR(
+      storage::XcsfWriter::Encode(FlatSynopsis(synopsis.synopsis()), &image));
+  Result<storage::XcsfMmapView> view =
+      storage::XcsfMmapView::Adopt(std::move(image));
+  if (!view.ok()) return view.status();
+  return Publish(name, std::move(view).value(), generation, std::move(source));
 }
 
 Result<std::shared_ptr<const StoredSynopsis>> SynopsisStore::LoadFile(
     const std::string& name, const std::string& path,
     const std::string& source) {
-  if (storage::SniffXcsfFile(path)) {
-    // XCSF image: validate + mmap, serve zero-copy. No graph is ever
-    // built; a failed validation leaves any existing snapshot untouched.
-    Result<storage::XcsfMmapView> view = storage::XcsfMmapView::Open(path);
-    if (!view.ok()) {
-      if (source.empty()) return view.status();
-      return Status::WithContext(view.status(),
-                                 "load requested by " + source);
+  const std::string provenance = source.empty() ? path : source;
+  Result<std::shared_ptr<const StoredSynopsis>> installed = [&]()
+      -> Result<std::shared_ptr<const StoredSynopsis>> {
+    if (storage::SniffXcsfFile(path)) {
+      // XCSF image: validate + mmap, serve zero-copy, never parsed.
+      Result<storage::XcsfMmapView> view = storage::XcsfMmapView::Open(path);
+      if (!view.ok()) return view.status();
+      XCLUSTER_COUNTER_INC("service.store.mmap_loads");
+      return Publish(name, std::move(view).value(), /*generation=*/0,
+                     provenance);
     }
-    auto snapshot = StoredSynopsis::MakeMapped(
-        name, std::move(view).value(), AssignGeneration(0),
-        estimator_options_, source.empty() ? path : source);
-    XCLUSTER_COUNTER_INC("service.store.mmap_loads");
-    return Publish(name, std::move(snapshot), /*pinned=*/false);
-  }
-  Result<XCluster> loaded = XCluster::Load(path);
-  if (!loaded.ok()) {
-    if (source.empty()) return loaded.status();
-    // A load requested over the wire: the failure must name the peer
-    // that asked for it, not just the server-side path.
-    return Status::WithContext(loaded.status(),
-                               "load requested by " + source);
-  }
-  return Install(name, std::move(loaded).value(), /*generation=*/0,
-                 source.empty() ? path : source);
+    Result<XCluster> loaded = XCluster::Load(path);
+    if (!loaded.ok()) return loaded.status();
+    return Install(name, loaded.value(), /*generation=*/0, provenance);
+  }();
+  // A failed load leaves any existing snapshot untouched. One requested
+  // over the wire must name the peer that asked for it, not just the
+  // server-side path.
+  if (installed.ok() || source.empty()) return installed;
+  return Status::WithContext(installed.status(),
+                             "load requested by " + source);
 }
 
-Result<std::shared_ptr<const StoredSynopsis>>
-SynopsisStore::InstallXcsfFromWire(const std::string& name,
-                                   std::string_view bytes,
-                                   const std::string& source,
-                                   uint64_t generation) {
-  Result<storage::XcsfMmapView> view = [&]() -> Result<storage::XcsfMmapView> {
-    if (spool_dir_.empty()) {
-      // No spool: adopt the payload buffer in place (one copy off the
-      // wire, no file).
-      return storage::XcsfMmapView::Adopt(std::string(bytes));
-    }
-    // Spool + mmap: the replica persists the image (atomic temp+rename)
-    // and serves from the mapping, so a restart cold-starts from disk.
-    const std::string path = spool_dir_ + "/" + SpoolFileName(name);
-    XC_RETURN_IF_ERROR(WriteFileAtomic(path, bytes));
-    XCLUSTER_COUNTER_INC("service.store.spooled_installs");
-    return storage::XcsfMmapView::Open(path);
-  }();
-  if (!view.ok()) {
-    return Status::WithContext(view.status(), "install from " + source);
+Result<storage::XcsfMmapView> SynopsisStore::OpenXcsfFromWire(
+    const std::string& name, std::string_view bytes) {
+  if (spool_dir_.empty()) {
+    // No spool: adopt the payload buffer in place (one copy off the wire,
+    // no file).
+    return storage::XcsfMmapView::Adopt(std::string(bytes));
   }
-  const bool pinned = generation != 0;
-  auto snapshot = StoredSynopsis::MakeMapped(
-      name, std::move(view).value(), AssignGeneration(generation),
-      estimator_options_, "wire:" + source);
-  return Publish(name, std::move(snapshot), pinned);
+  // Spool + mmap: the replica persists the image (atomic temp+rename) and
+  // serves from the mapping, so a restart cold-starts from disk.
+  const std::string path = spool_dir_ + "/" + SpoolFileName(name);
+  XC_RETURN_IF_ERROR(WriteFileAtomic(path, bytes));
+  XCLUSTER_COUNTER_INC("service.store.spooled_installs");
+  return storage::XcsfMmapView::Open(path);
 }
 
 Result<std::shared_ptr<const StoredSynopsis>> SynopsisStore::InstallFromWire(
     const std::string& name, std::string_view bytes,
     const std::string& source, uint64_t generation) {
-  std::shared_ptr<const StoredSynopsis> installed;
-  if (storage::LooksLikeXcsf(bytes)) {
-    Result<std::shared_ptr<const StoredSynopsis>> result =
-        InstallXcsfFromWire(name, bytes, source, generation);
-    if (!result.ok()) return result.status();
-    installed = std::move(result).value();
-  } else {
-    Result<GraphSynopsis> decoded = DecodeSynopsisBytes(bytes);
-    if (!decoded.ok()) {
-      return Status::WithContext(decoded.status(), "install from " + source);
+  Result<std::shared_ptr<const StoredSynopsis>> installed = [&]()
+      -> Result<std::shared_ptr<const StoredSynopsis>> {
+    if (storage::LooksLikeXcsf(bytes)) {
+      Result<storage::XcsfMmapView> view = OpenXcsfFromWire(name, bytes);
+      if (!view.ok()) return view.status();
+      return Publish(name, std::move(view).value(), generation,
+                     "wire:" + source);
     }
-    installed = Install(name, XCluster(std::move(decoded).value()),
-                        generation, "wire:" + source);
-  }
-  if (installed == nullptr) {
-    const std::shared_ptr<const StoredSynopsis> current = Get(name);
-    return Status::InvalidArgument(
-        "stale install of " + name + " from " + source + ": pinned generation " +
-        std::to_string(generation) + " <= installed generation " +
-        (current != nullptr ? std::to_string(current->generation())
-                            : std::string("?")));
+    Result<GraphSynopsis> decoded = DecodeSynopsisBytes(bytes);
+    if (!decoded.ok()) return decoded.status();
+    return Install(name, XCluster(std::move(decoded).value()), generation,
+                   "wire:" + source);
+  }();
+  if (!installed.ok()) {
+    return Status::WithContext(installed.status(), "install from " + source);
   }
   XCLUSTER_COUNTER_INC("service.store.wire_installs");
   return installed;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -19,69 +18,41 @@
 
 namespace xcluster {
 
-/// One immutable synopsis snapshot served by a SynopsisStore, in one of
-/// two backings behind the same serving surface:
-///
-///  * graph-backed — a loaded/decoded XCluster plus its FlatSynopsis
-///    compilation (compiled once here, at install time);
-///  * mapped — a validated XCSF image (storage::XcsfMmapView) whose
-///    columns are served straight from the mapping; no XCluster, no
-///    graph, no compile step.
-///
-/// The serving hot path only ever touches flat()/flat_estimator(), which
-/// both backings provide — estimates from a mapped snapshot are
-/// bit-identical to the compiled form because the image *is* the compiled
-/// form's bytes. The graph-only accessors (xcluster(), synopsis(),
-/// estimator()) must not be called on a mapped snapshot; check mapped()
-/// first. Format-agnostic introspection goes through num_clusters() /
-/// size_bytes().
+/// One immutable synopsis snapshot served by a SynopsisStore: a validated
+/// XCSF image (storage::XcsfMmapView) whose columns are served straight
+/// from the mapping or the adopted buffer. `.xcsf` files are mmapped;
+/// everything else (`.xcs` files, XCSB wire payloads, in-process XCluster
+/// installs) is compiled to an in-memory image at install, so every
+/// snapshot has the same representation and the same estimates as the
+/// `.xcsf` written from the same synopsis.
 ///
 /// Snapshots are shared out as `shared_ptr<const StoredSynopsis>`; a
 /// snapshot stays alive for as long as any in-flight request holds it,
 /// even after the store has swapped in a replacement or dropped the name —
-/// for a mapped snapshot, the underlying file mapping is released when the
-/// last holder lets go (hot-swap unmaps via shared_ptr release).
+/// the underlying file mapping is released when the last holder lets go
+/// (hot-swap unmaps via shared_ptr release).
 class StoredSynopsis {
  public:
-  /// Wraps `synopsis`; heap-allocates so the estimators' references into
-  /// the synopsis graph stay stable for the snapshot's lifetime.
+  /// Wraps an already validated XCSF view.
   static std::shared_ptr<const StoredSynopsis> Make(
-      std::string name, XCluster synopsis, uint64_t generation,
-      EstimateOptions options = EstimateOptions(), std::string source = "");
-
-  /// Wraps an already validated XCSF view (zero-copy install path).
-  static std::shared_ptr<const StoredSynopsis> MakeMapped(
       std::string name, storage::XcsfMmapView view, uint64_t generation,
       EstimateOptions options = EstimateOptions(), std::string source = "");
 
   const std::string& name() const { return name_; }
 
-  /// True when this snapshot serves from a mapped XCSF image and has no
-  /// synopsis graph (the graph-only accessors below are unusable).
-  bool mapped() const { return xcluster_ == nullptr; }
-
-  /// Graph-backed snapshots only.
-  const XCluster& xcluster() const { return *xcluster_; }
-  const GraphSynopsis& synopsis() const { return xcluster_->synopsis(); }
-
-  /// The read-optimized flat form — compiled in RAM or mapped from disk —
-  /// pinned for the snapshot's lifetime.
-  const FlatSynopsis& flat() const { return *flat_ptr_; }
+  /// The read-optimized flat form, served from the image and pinned for
+  /// the snapshot's lifetime.
+  const FlatSynopsis& flat() const { return view_.flat(); }
 
   /// The serving hot path: estimates CompiledTwig plans over flat().
   /// Thread-safe; shared across all requests that hold this snapshot.
   const FlatEstimator& flat_estimator() const { return *flat_estimator_; }
 
-  /// Legacy tree-walking estimator (reference path; the flat estimator is
-  /// bit-identical to it). Thread-safe. Graph-backed snapshots only.
-  const XClusterEstimator& estimator() const { return *estimator_; }
+  /// Cluster count (harness/stats surface).
+  uint32_t num_clusters() const { return flat().num_nodes(); }
 
-  /// Cluster count, whichever backing (harness/stats surface).
-  uint32_t num_clusters() const { return flat_ptr_->num_nodes(); }
-
-  /// Resident size, whichever backing: the synopsis size model for
-  /// graph-backed snapshots, the image byte count for mapped ones.
-  size_t size_bytes() const;
+  /// Resident size: the XCSF image byte count.
+  size_t size_bytes() const { return view_.image_bytes(); }
 
   /// Monotonically increasing across the owning store; a reload of the
   /// same name yields a snapshot with a larger generation. Replication
@@ -100,19 +71,13 @@ class StoredSynopsis {
   uint64_t installed_ns() const { return installed_ns_; }
 
  private:
-  StoredSynopsis(std::string name, XCluster synopsis, uint64_t generation,
-                 EstimateOptions options, std::string source);
   StoredSynopsis(std::string name, storage::XcsfMmapView view,
                  uint64_t generation, EstimateOptions options,
                  std::string source);
 
   std::string name_;
-  std::unique_ptr<XCluster> xcluster_;             // null when mapped
-  std::optional<storage::XcsfMmapView> view_;      // engaged when mapped
-  std::unique_ptr<XClusterEstimator> estimator_;   // references *xcluster_
-  std::unique_ptr<FlatSynopsis> flat_;             // compiled form only
-  const FlatSynopsis* flat_ptr_ = nullptr;         // -> flat_ or view_'s
-  std::unique_ptr<FlatEstimator> flat_estimator_;  // references *flat_ptr_
+  storage::XcsfMmapView view_;
+  std::unique_ptr<FlatEstimator> flat_estimator_;  // references view_.flat()
   uint64_t generation_ = 0;
   std::string source_;
   uint64_t installed_ns_ = 0;
@@ -146,28 +111,30 @@ class SynopsisStore {
   void SetSpoolDir(std::string dir) { spool_dir_ = std::move(dir); }
   const std::string& spool_dir() const { return spool_dir_; }
 
-  /// Publishes `synopsis` under `name`, replacing any previous snapshot
-  /// (which stays alive until its last in-flight reader drops it).
-  /// Returns the installed snapshot.
+  /// Compiles `synopsis` to an in-memory XCSF image (FlatSynopsis →
+  /// XcsfWriter::Encode → XcsfMmapView::Adopt) and publishes it under
+  /// `name`, replacing any previous snapshot (which stays alive until its
+  /// last in-flight reader drops it). Returns the installed snapshot, or
+  /// the encode/validate failure (catalog untouched).
   ///
   /// `generation` 0 (the default) auto-assigns the store's next
   /// generation; a nonzero value pins it — replication pushes carry the
   /// router-assigned generation so a whole fleet lands in lockstep — and
   /// bumps the store's counter past it, keeping later local installs
   /// strictly newer. A pinned install whose generation is <= the currently
-  /// installed snapshot's generation is rejected (returns nullptr, catalog
-  /// untouched): stale or reordered replication pushes must never roll a
-  /// replica backwards. Auto-assigned installs never return nullptr.
+  /// installed snapshot's generation is rejected as a stale install
+  /// (InvalidArgument naming both generations, catalog untouched): stale
+  /// or reordered replication pushes must never roll a replica backwards.
   /// `source` is recorded as provenance (see StoredSynopsis::source()).
-  std::shared_ptr<const StoredSynopsis> Install(const std::string& name,
-                                                XCluster synopsis,
-                                                uint64_t generation = 0,
-                                                std::string source = "");
+  Result<std::shared_ptr<const StoredSynopsis>> Install(
+      const std::string& name, const XCluster& synopsis,
+      uint64_t generation = 0, std::string source = "");
 
   /// Loads a synopsis file and installs it under `name`, auto-detecting
   /// the format from the magic: `.xcsf` images are mmapped zero-copy
   /// (validated, never parsed), anything else goes through the `.xcs`
-  /// decode path (full checksum verification in XCluster::Load). The
+  /// decode path (full checksum verification in XCluster::Load) and is
+  /// compiled to an in-memory image as in Install. The
   /// load/map runs outside all locks; a failed load leaves any existing
   /// snapshot untouched. A non-empty `source` is prepended to failure
   /// messages (and recorded as the snapshot's provenance) so a load
@@ -180,11 +147,11 @@ class SynopsisStore {
   /// Installs a snapshot received over the wire under `name` with the
   /// given pinned generation (0 = auto), sniffing the payload format:
   /// XCSF images are spooled + mmapped (or adopted in place when no spool
-  /// dir is set), XCSB payloads are decoded (every section CRC verified).
-  /// A pinned generation that does not exceed the installed snapshot's is
-  /// rejected as a stale install (InvalidArgument naming both
-  /// generations). Failures carry `source` (the pushing peer's address)
-  /// so replication errors are attributable.
+  /// dir is set), XCSB payloads are decoded (every section CRC verified)
+  /// and installed as in Install. A pinned generation that does not
+  /// exceed the installed snapshot's is rejected as a stale install.
+  /// Failures carry `source` (the pushing peer's address) so replication
+  /// errors are attributable.
   Result<std::shared_ptr<const StoredSynopsis>> InstallFromWire(
       const std::string& name, std::string_view bytes,
       const std::string& source, uint64_t generation = 0);
@@ -215,19 +182,19 @@ class SynopsisStore {
   /// bumped strictly past it.
   uint64_t AssignGeneration(uint64_t generation);
 
-  /// Swaps `snapshot` into its shard. For pinned installs an existing
-  /// entry with a generation >= the snapshot's wins instead (returns
-  /// nullptr, catalog untouched). The replaced snapshot is released
-  /// outside the shard lock.
-  std::shared_ptr<const StoredSynopsis> Publish(
-      const std::string& name, std::shared_ptr<const StoredSynopsis> snapshot,
-      bool pinned);
+  /// Wraps `view` as a snapshot under the resolved generation and swaps
+  /// it into its shard. For pinned installs (`generation` != 0) an
+  /// existing entry with a generation >= the snapshot's wins instead
+  /// (stale-install InvalidArgument, catalog untouched). The replaced
+  /// snapshot is released outside the shard lock.
+  Result<std::shared_ptr<const StoredSynopsis>> Publish(
+      const std::string& name, storage::XcsfMmapView view,
+      uint64_t generation, std::string source);
 
-  /// Builds the mapped snapshot for an XCSF wire payload: spool + mmap
-  /// when a spool dir is configured, adopt-in-place otherwise.
-  Result<std::shared_ptr<const StoredSynopsis>> InstallXcsfFromWire(
-      const std::string& name, std::string_view bytes,
-      const std::string& source, uint64_t generation);
+  /// Opens the view for an XCSF wire payload: spool + mmap when a spool
+  /// dir is configured, adopt-in-place otherwise.
+  Result<storage::XcsfMmapView> OpenXcsfFromWire(const std::string& name,
+                                                 std::string_view bytes);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   EstimateOptions estimator_options_;

@@ -1,10 +1,10 @@
-// Tests for the vectorized batch estimation engine: lane grouping
-// (BatchPlan) and the structure-of-arrays DP (BatchEstimator), plus the
-// service-level EstimateBatch vectorized path. The load-bearing property
-// throughout is *bit identity*: every lane-evaluated estimate must EXPECT_EQ
-// the double the scalar FlatEstimator produces for the same query — across
-// shuffled batches, duplicate queries, parse errors interleaved, and any
-// worker count.
+// Tests for the batch estimation engine: lane grouping (BatchPlan) and the
+// structure-of-arrays DP (BatchEstimator), plus the service-level
+// EstimateBatch path built on them. The load-bearing property throughout
+// is *bit identity*: every lane-evaluated estimate must EXPECT_EQ the
+// double the scalar FlatEstimator produces for the same query — across
+// shuffled batches, duplicate queries, parse errors interleaved, explain
+// batches, and any worker count.
 #include "estimate/batch_estimator.h"
 
 #include <gtest/gtest.h>
@@ -171,12 +171,15 @@ TEST(BatchEstimatorTest, Fig7LanesBitIdenticalToScalar) {
       {"//A[/B/C[range(0,0)]]//E", "/A", "/A/B", "/A/B/C", "//C", "//E",
        "/A/*", "//*", "/A/B/C[range(0,4)]", "/A/B/C[range(2,7)]", "/A[/B]/D",
        "/Z", "//A/Q", "/A/B[range(0,100)]", "/A/B/C[contains(x)]"});
+  // A batch of one query is a one-lane group (the scalar kernel).
+  ExpectLanesMatchScalar(MakeFig7(), {"/A/B/C[range(0,4)]"});
 }
 
 TEST(BatchEstimatorTest, CyclicLanesBitIdenticalToScalar) {
   ExpectLanesMatchScalar(MakeCyclic(),
                          {"//text", "//parlist", "//parlist//text",
                           "/parlist/parlist", "//*", "//R//text"});
+  ExpectLanesMatchScalar(MakeCyclic(), {"//parlist//text"});
 }
 
 TEST(BatchEstimatorTest, UnknownTermLanesEstimateExactlyZero) {
@@ -205,16 +208,19 @@ TEST(BatchEstimatorTest, EmptySynopsisLanesAreZero) {
 }
 
 TEST(BatchEstimatorTest, DescendantReachSharedWithinBatch) {
-  // Two descendant queries with the same skeleton form one group; the
-  // structure pass computes each (source, label) reach once and the lane
-  // pass re-reads it from the batch tier — observable as shared hits.
+  // Two descendant plans with the same skeleton form one two-lane group;
+  // the structure pass computes each (source, label) reach once and the
+  // lane pass re-reads it from the batch tier — observable as shared hits.
   GraphSynopsis synopsis = MakeCyclic();
   FlatSynopsis flat(synopsis);
   FlatEstimator estimator(flat);
-  const CompiledTwig p1 = CompiledTwig::Compile(MustParse("//text"), flat);
+  const CompiledTwig t1 = CompiledTwig::Compile(MustParse("//text"), flat);
+  const CompiledTwig t2 = CompiledTwig::Compile(MustParse("//text"), flat);
+  const CompiledTwig p1 = CompiledTwig::Compile(MustParse("//parlist"), flat);
   const CompiledTwig p2 = CompiledTwig::Compile(MustParse("//parlist"), flat);
-  BatchPlan partition = BatchPlan::Build({&p1, &p2});
+  BatchPlan partition = BatchPlan::Build({&t1, &p1, &t2, &p2});
   ASSERT_EQ(partition.num_groups(), 2u);  // different labels → different keys
+  EXPECT_EQ(partition.num_lanes(), 4u);   // distinct plan objects
   BatchReachTier tier(&estimator.reach_cache());
   std::vector<double> lanes;
   for (const BatchPlan::Group& group : partition.groups()) {
@@ -228,10 +234,6 @@ TEST(BatchEstimatorTest, DescendantReachSharedWithinBatch) {
 // ---------------------------------------------------------------------------
 // Service-level randomized property test
 // ---------------------------------------------------------------------------
-
-XCluster MakeFixtureCluster(GraphSynopsis synopsis) {
-  return XCluster(std::move(synopsis));
-}
 
 /// Query pool mixing skeleton repeats, distinct predicates, wildcards,
 /// descendant axes, misses, unknown terms, and malformed inputs.
@@ -261,18 +263,33 @@ const std::vector<std::string> kCyclicPool = {
     "//*",             "//R//text", "](malformed",
 };
 
+/// The reference for one collection: a FlatEstimator over the compiled
+/// source graph, independent of the store's XCSF image.
+struct Reference {
+  explicit Reference(const GraphSynopsis& graph)
+      : flat(graph), estimator(flat) {}
+  FlatSynopsis flat;
+  FlatEstimator estimator;
+};
+
 void RunShuffledBatchSuite(size_t workers) {
   ServiceOptions options;
   options.executor.num_threads = workers;
   auto service = std::make_unique<EstimationService>(options);
-  service->store().Install("fig7", MakeFixtureCluster(MakeFig7()));
-  service->store().Install("cyclic", MakeFixtureCluster(MakeCyclic()));
+  const GraphSynopsis fig7 = MakeFig7();
+  const GraphSynopsis cyclic = MakeCyclic();
+  ASSERT_TRUE(service->store().Install("fig7", XCluster(fig7)).ok());
+  ASSERT_TRUE(service->store().Install("cyclic", XCluster(cyclic)).ok());
+  const Reference fig7_reference(fig7);
+  const Reference cyclic_reference(cyclic);
 
   Rng rng(20260809 + workers);
   const struct {
     const char* collection;
     const std::vector<std::string>* pool;
-  } collections[] = {{"fig7", &kFig7Pool}, {"cyclic", &kCyclicPool}};
+    const Reference* reference;
+  } collections[] = {{"fig7", &kFig7Pool, &fig7_reference},
+                     {"cyclic", &kCyclicPool, &cyclic_reference}};
 
   for (int round = 0; round < 6; ++round) {
     for (const auto& target : collections) {
@@ -286,35 +303,38 @@ void RunShuffledBatchSuite(size_t workers) {
       }
       queries.push_back(queries[0]);
 
-      BatchOptions vectorized;  // default: vectorize = true
-      BatchResult batch =
-          service->EstimateBatch(target.collection, queries, vectorized);
-      ASSERT_TRUE(batch.admission.ok());
-      ASSERT_EQ(batch.results.size(), queries.size());
+      for (const bool explain : {false, true}) {
+        BatchOptions batch_options;
+        batch_options.explain = explain;
+        BatchResult batch = service->EstimateBatch(target.collection, queries,
+                                                   batch_options);
+        ASSERT_TRUE(batch.admission.ok());
+        ASSERT_EQ(batch.results.size(), queries.size());
+        EXPECT_GT(batch.stats.batch_groups, 0u);
+        EXPECT_GE(batch.stats.vector_lanes, batch.stats.batch_groups);
 
-      BatchOptions scalar_mode;
-      scalar_mode.vectorize = false;
-      BatchResult scalar =
-          service->EstimateBatch(target.collection, queries, scalar_mode);
-      ASSERT_TRUE(scalar.admission.ok());
-      EXPECT_EQ(scalar.stats.batch_groups, 0u);
-      EXPECT_EQ(scalar.stats.vector_lanes, 0u);
-      EXPECT_GT(batch.stats.batch_groups, 0u);
-      EXPECT_GE(batch.stats.vector_lanes, batch.stats.batch_groups);
-
-      for (size_t i = 0; i < queries.size(); ++i) {
-        // Slot-for-slot: same status code, bit-identical estimate, and
-        // both must equal the inline scalar EstimateOne result.
-        const QueryResult& v = batch.results[i];
-        const QueryResult& s = scalar.results[i];
-        EXPECT_EQ(v.status.code(), s.status.code())
-            << target.collection << " '" << queries[i] << "'";
-        EXPECT_EQ(v.estimate, s.estimate)
-            << target.collection << " '" << queries[i] << "'";
-        QueryResult one = service->EstimateOne(target.collection, queries[i]);
-        EXPECT_EQ(v.status.code(), one.status.code());
-        EXPECT_EQ(v.estimate, one.estimate)
-            << target.collection << " '" << queries[i] << "'";
+        for (size_t i = 0; i < queries.size(); ++i) {
+          // Slot-for-slot: same status code and bit-identical estimate as
+          // the inline EstimateOne, and as a FlatEstimator over the
+          // compiled source graph.
+          const std::string where = std::string(target.collection) + " '" +
+                                    queries[i] + "' explain=" +
+                                    (explain ? "1" : "0");
+          const QueryResult& slot = batch.results[i];
+          QueryResult one =
+              service->EstimateOne(target.collection, queries[i], explain);
+          EXPECT_EQ(slot.status.code(), one.status.code()) << where;
+          EXPECT_EQ(slot.estimate, one.estimate) << where;
+          EXPECT_EQ(slot.explanation, one.explanation) << where;
+          Result<TwigQuery> parsed = ParseTwig(queries[i]);
+          EXPECT_EQ(slot.status.ok(), parsed.ok()) << where;
+          if (!parsed.ok()) continue;
+          const CompiledTwig plan =
+              CompiledTwig::Compile(parsed.value(), target.reference->flat);
+          EXPECT_EQ(slot.estimate, target.reference->estimator.Estimate(plan))
+              << where;
+          EXPECT_EQ(explain, !slot.explanation.empty()) << where;
+        }
       }
     }
   }
@@ -328,19 +348,22 @@ TEST(BatchEstimatorServiceTest, ShuffledBatchesBitIdenticalWorkers8) {
   RunShuffledBatchSuite(8);
 }
 
-TEST(BatchEstimatorServiceTest, ExplainBatchesFallBackToScalarPath) {
+TEST(BatchEstimatorServiceTest, ExplainBatchesRunAsLaneGroups) {
   ServiceOptions options;
   options.executor.num_threads = 2;
   auto service = std::make_unique<EstimationService>(options);
-  service->store().Install("fig7", MakeFixtureCluster(MakeFig7()));
+  ASSERT_TRUE(service->store().Install("fig7", XCluster(MakeFig7())).ok());
   BatchOptions explain;
-  explain.explain = true;  // vectorize stays true but explain wins
-  BatchResult batch =
-      service->EstimateBatch("fig7", {"/A/B/C[range(0,4)]", "//E"}, explain);
+  explain.explain = true;
+  BatchResult batch = service->EstimateBatch(
+      "fig7", {"/A/B/C[range(0,4)]", "//E", "/A/B/C[range(2,7)]"}, explain);
   ASSERT_TRUE(batch.admission.ok());
-  EXPECT_EQ(batch.stats.batch_groups, 0u);  // scalar path ran
-  ASSERT_TRUE(batch.results[0].status.ok());
-  EXPECT_FALSE(batch.results[0].explanation.empty());
+  EXPECT_EQ(batch.stats.batch_groups, 2u);
+  EXPECT_EQ(batch.stats.vector_lanes, 3u);
+  for (const QueryResult& result : batch.results) {
+    ASSERT_TRUE(result.status.ok());
+    EXPECT_FALSE(result.explanation.empty());
+  }
 }
 
 }  // namespace

@@ -181,13 +181,13 @@ TEST_F(NetTraceTest, SampledBatchRecordsSpansCarryingTheTraceId) {
     if (event.trace_id == 0xabcdef01ull) names.insert(event.name);
   }
   // The request's path across layers: socket dispatch, admission,
-  // executor task, lane-group estimation (batches run the vectorized
-  // engine by default, so the estimation span is the group DP rather
-  // than the scalar per-query service.query span).
+  // executor task, estimation. The one-query batch is a one-lane group,
+  // which BatchEstimator runs through the scalar DP, so the estimation
+  // span is estimate.query rather than estimate.batch_group.
   EXPECT_TRUE(names.count("net.batch")) << names.size() << " span names";
   EXPECT_TRUE(names.count("admission.admit"));
   EXPECT_TRUE(names.count("executor.task"));
-  EXPECT_TRUE(names.count("estimate.batch_group"));
+  EXPECT_TRUE(names.count("estimate.query"));
 }
 #endif  // XCLUSTER_TELEMETRY_ENABLED
 

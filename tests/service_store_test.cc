@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,12 +34,30 @@ XCluster MakeSynopsis(double count) {
   return XCluster(std::move(synopsis));
 }
 
+/// Estimate through the serving hot path (flat estimator over a compiled
+/// plan) — the only estimation surface a snapshot provides.
+double FlatEstimate(const StoredSynopsis& snapshot, const std::string& query) {
+  const CompiledTwig plan =
+      CompiledTwig::Compile(MustParse(query), snapshot.flat());
+  return snapshot.flat_estimator().Estimate(plan);
+}
+
+/// Installs MakeSynopsis(count) under `name`, failing the test on error.
+std::shared_ptr<const StoredSynopsis> MustInstall(SynopsisStore& store,
+                                                  const std::string& name,
+                                                  double count,
+                                                  uint64_t generation = 0) {
+  auto installed = store.Install(name, MakeSynopsis(count), generation);
+  EXPECT_TRUE(installed.ok()) << installed.status().ToString();
+  return installed.ok() ? installed.value() : nullptr;
+}
+
 TEST(SynopsisStoreTest, InstallGetRemove) {
   SynopsisStore store;
   EXPECT_EQ(store.Get("movies"), nullptr);
   EXPECT_EQ(store.size(), 0u);
 
-  auto installed = store.Install("movies", MakeSynopsis(7.0));
+  auto installed = MustInstall(store, "movies", 7.0);
   ASSERT_NE(installed, nullptr);
   EXPECT_EQ(installed->name(), "movies");
 
@@ -54,9 +73,9 @@ TEST(SynopsisStoreTest, InstallGetRemove) {
 
 TEST(SynopsisStoreTest, GenerationsIncreaseAcrossReinstalls) {
   SynopsisStore store;
-  auto first = store.Install("c", MakeSynopsis(1.0));
-  auto second = store.Install("c", MakeSynopsis(2.0));
-  auto other = store.Install("d", MakeSynopsis(3.0));
+  auto first = MustInstall(store, "c", 1.0);
+  auto second = MustInstall(store, "c", 2.0);
+  auto other = MustInstall(store, "d", 3.0);
   EXPECT_LT(first->generation(), second->generation());
   EXPECT_LT(second->generation(), other->generation());
   EXPECT_EQ(store.Get("c")->generation(), second->generation());
@@ -64,23 +83,28 @@ TEST(SynopsisStoreTest, GenerationsIncreaseAcrossReinstalls) {
 
 TEST(SynopsisStoreTest, StalePinnedInstallIsRejected) {
   SynopsisStore store;
-  auto current = store.Install("c", MakeSynopsis(1.0), /*generation=*/10);
+  auto current = MustInstall(store, "c", 1.0, /*generation=*/10);
   ASSERT_NE(current, nullptr);
   EXPECT_EQ(current->generation(), 10u);
 
   // A pinned install that does not move the generation forward must not
   // replace the snapshot — delayed or reordered replication pushes would
   // otherwise roll a replica backwards.
-  EXPECT_EQ(store.Install("c", MakeSynopsis(2.0), /*generation=*/10), nullptr);
-  EXPECT_EQ(store.Install("c", MakeSynopsis(2.0), /*generation=*/7), nullptr);
+  for (const uint64_t stale : {uint64_t{10}, uint64_t{7}}) {
+    auto rejected = store.Install("c", MakeSynopsis(2.0), stale);
+    EXPECT_FALSE(rejected.ok()) << "generation " << stale;
+    EXPECT_EQ(rejected.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(rejected.status().message().find("stale install"),
+              std::string::npos);
+  }
   EXPECT_EQ(store.Get("c").get(), current.get());
 
   // A newer pinned generation still lands, and auto-assigned installs are
   // never rejected (they always draw a fresh, larger generation).
-  auto newer = store.Install("c", MakeSynopsis(3.0), /*generation=*/11);
+  auto newer = MustInstall(store, "c", 3.0, /*generation=*/11);
   ASSERT_NE(newer, nullptr);
   EXPECT_EQ(newer->generation(), 11u);
-  auto autogen = store.Install("c", MakeSynopsis(4.0));
+  auto autogen = MustInstall(store, "c", 4.0);
   ASSERT_NE(autogen, nullptr);
   EXPECT_GT(autogen->generation(), 11u);
 }
@@ -88,7 +112,7 @@ TEST(SynopsisStoreTest, StalePinnedInstallIsRejected) {
 TEST(SynopsisStoreTest, ListIsSortedAcrossShards) {
   SynopsisStore store(4);
   for (const char* name : {"zeta", "alpha", "mid", "beta"}) {
-    store.Install(name, MakeSynopsis(1.0));
+    MustInstall(store, name, 1.0);
   }
   EXPECT_EQ(store.List(),
             (std::vector<std::string>{"alpha", "beta", "mid", "zeta"}));
@@ -97,23 +121,22 @@ TEST(SynopsisStoreTest, ListIsSortedAcrossShards) {
 
 TEST(SynopsisStoreTest, SnapshotSurvivesReplaceAndRemove) {
   SynopsisStore store;
-  store.Install("c", MakeSynopsis(5.0));
+  MustInstall(store, "c", 5.0);
   auto held = store.Get("c");  // in-flight request holds the snapshot
 
-  store.Install("c", MakeSynopsis(9.0));  // hot swap
+  MustInstall(store, "c", 9.0);  // hot swap
   EXPECT_NE(store.Get("c").get(), held.get());
   // The old snapshot still answers queries with its own data.
-  EXPECT_NEAR(held->estimator().Estimate(MustParse("/A")), 5.0, 1e-9);
-  EXPECT_NEAR(store.Get("c")->estimator().Estimate(MustParse("/A")), 9.0,
-              1e-9);
+  EXPECT_NEAR(FlatEstimate(*held, "/A"), 5.0, 1e-9);
+  EXPECT_NEAR(FlatEstimate(*store.Get("c"), "/A"), 9.0, 1e-9);
 
   store.Remove("c");
-  EXPECT_NEAR(held->estimator().Estimate(MustParse("/A")), 5.0, 1e-9);
+  EXPECT_NEAR(FlatEstimate(*held, "/A"), 5.0, 1e-9);
 }
 
 TEST(SynopsisStoreTest, LoadFileFailureLeavesCatalogUntouched) {
   SynopsisStore store;
-  store.Install("c", MakeSynopsis(4.0));
+  MustInstall(store, "c", 4.0);
   auto before = store.Get("c");
   auto loaded = store.LoadFile("c", "/nonexistent/path.xcs");
   EXPECT_FALSE(loaded.ok());
@@ -125,18 +148,17 @@ TEST(SynopsisStoreTest, LoadFileFailureLeavesCatalogUntouched) {
 // (estimate matches that snapshot's generation parity, never a torn mix).
 TEST(SynopsisStoreTest, ConcurrentHotSwapNeverTearsReaders) {
   SynopsisStore store;
-  store.Install("c", MakeSynopsis(100.0));
+  MustInstall(store, "c", 100.0);
 
   std::atomic<bool> stop{false};
   std::atomic<int> reads{0};
   std::vector<std::thread> readers;
-  const TwigQuery query = MustParse("/A");
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
         auto snapshot = store.Get("c");
         if (snapshot == nullptr) continue;  // momentarily removed
-        const double estimate = snapshot->estimator().Estimate(query);
+        const double estimate = FlatEstimate(*snapshot, "/A");
         // Writers only ever install counts 100 or 200.
         EXPECT_TRUE(estimate == 100.0 || estimate == 200.0) << estimate;
         ++reads;
@@ -146,10 +168,10 @@ TEST(SynopsisStoreTest, ConcurrentHotSwapNeverTearsReaders) {
 
   std::thread writer([&] {
     for (int i = 0; i < 200; ++i) {
-      store.Install("c", MakeSynopsis(i % 2 == 0 ? 200.0 : 100.0));
+      MustInstall(store, "c", i % 2 == 0 ? 200.0 : 100.0);
       if (i % 50 == 0) {
         store.Remove("c");
-        store.Install("c", MakeSynopsis(100.0));
+        MustInstall(store, "c", 100.0);
       }
     }
     stop = true;
@@ -160,15 +182,7 @@ TEST(SynopsisStoreTest, ConcurrentHotSwapNeverTearsReaders) {
   EXPECT_GT(reads.load(), 0);
 }
 
-// --- XCSF (mapped) snapshots ---------------------------------------------
-
-/// Estimate through the serving hot path (flat estimator over a compiled
-/// plan) — the only estimation surface mapped snapshots provide.
-double FlatEstimate(const StoredSynopsis& snapshot, const std::string& query) {
-  const CompiledTwig plan =
-      CompiledTwig::Compile(MustParse(query), snapshot.flat());
-  return snapshot.flat_estimator().Estimate(plan);
-}
+// --- XCSF snapshots ---------------------------------------------------------
 
 /// Writes MakeSynopsis(count) as an XCSF image and returns its path.
 std::string WriteXcsf(const std::string& file, double count) {
@@ -185,15 +199,57 @@ TEST(SynopsisStoreTest, LoadFileAutoDetectsXcsf) {
   auto loaded = store.LoadFile("movies", path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const auto& snapshot = *loaded.value();
-  EXPECT_TRUE(snapshot.mapped());
   EXPECT_EQ(snapshot.num_clusters(), 2u);
   EXPECT_GT(snapshot.size_bytes(), 0u);
   EXPECT_EQ(snapshot.source(), path);
   EXPECT_NEAR(FlatEstimate(snapshot, "/A"), 7.0, 1e-9);
-  // The same store also still takes graph installs under other names.
-  auto graph = store.Install("graph", MakeSynopsis(3.0));
-  EXPECT_FALSE(graph->mapped());
+  // The same store also still takes XCluster installs under other names.
+  auto graph = MustInstall(store, "graph", 3.0);
   EXPECT_NEAR(FlatEstimate(*graph, "/A"), 3.0, 1e-9);
+}
+
+/// Fig. 7-style synopsis with a numeric value summary, so the comparison
+/// below covers predicates and descendant reach, not just one edge.
+XCluster MakeValuedSynopsis() {
+  GraphSynopsis synopsis;
+  SynNodeId r = synopsis.AddNode("R", ValueType::kNone, 1.0);
+  SynNodeId a = synopsis.AddNode("A", ValueType::kNone, 10.0);
+  SynNodeId b = synopsis.AddNode("B", ValueType::kNone, 100.0);
+  SynNodeId c = synopsis.AddNode("C", ValueType::kNumeric, 500.0);
+  SynNodeId d = synopsis.AddNode("D", ValueType::kNone, 50.0);
+  synopsis.AddEdge(r, a, 10.0);
+  synopsis.AddEdge(a, b, 10.0);
+  synopsis.AddEdge(b, c, 5.0);
+  synopsis.AddEdge(a, d, 5.0);
+  std::vector<int64_t> values;
+  for (int64_t v = 0; v < 10; ++v) values.push_back(v);
+  synopsis.node(c).vsumm = ValueSummary::FromNumeric(std::move(values), 16);
+  synopsis.set_term_dictionary(std::make_shared<TermDictionary>());
+  return XCluster(std::move(synopsis));
+}
+
+TEST(SynopsisStoreTest, XClusterInstallMatchesLoadedXcsfBitForBit) {
+  const XCluster synopsis = MakeValuedSynopsis();
+  const std::string path =
+      testing::TempDir() + "/store_install_vs_load.xcsf";
+  ASSERT_TRUE(storage::XcsfWriter::WriteGraph(synopsis.synopsis(), path,
+                                              /*sync=*/false)
+                  .ok());
+  SynopsisStore store;
+  auto installed = store.Install("installed", synopsis);
+  ASSERT_TRUE(installed.ok()) << installed.status().ToString();
+  auto loaded = store.LoadFile("loaded", path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  // Both are the same image: same bytes, same clusters, same doubles.
+  EXPECT_EQ(installed.value()->size_bytes(), loaded.value()->size_bytes());
+  EXPECT_EQ(installed.value()->num_clusters(), loaded.value()->num_clusters());
+  for (const char* query :
+       {"/A", "/A/B", "/A/B/C[range(0,4)]", "//C[range(2,7)]", "//*",
+        "/A[/B]/D", "//A//C", "/Z"}) {
+    EXPECT_EQ(FlatEstimate(*installed.value(), query),
+              FlatEstimate(*loaded.value(), query))
+        << query;
+  }
 }
 
 TEST(SynopsisStoreTest, HotSwapOfMappedSnapshotBumpsGeneration) {
@@ -218,7 +274,7 @@ TEST(SynopsisStoreTest, HotSwapOfMappedSnapshotBumpsGeneration) {
 
 TEST(SynopsisStoreTest, FailedXcsfLoadLeavesCatalogUntouched) {
   SynopsisStore store;
-  store.Install("c", MakeSynopsis(4.0));
+  MustInstall(store, "c", 4.0);
   auto before = store.Get("c");
   // Right magic, garbage body: sniffed as XCSF, rejected by validation.
   const std::string path = testing::TempDir() + "/store_corrupt.xcsf";
@@ -255,7 +311,6 @@ TEST(SynopsisStoreTest, WireXcsfInstallAdoptsBufferAndRespectsGenerations) {
   SynopsisStore store;
   auto installed = store.InstallFromWire("c", image, "peer-1", 5);
   ASSERT_TRUE(installed.ok()) << installed.status().ToString();
-  EXPECT_TRUE(installed.value()->mapped());
   EXPECT_EQ(installed.value()->generation(), 5u);
   EXPECT_EQ(installed.value()->source(), "wire:peer-1");
   EXPECT_NEAR(FlatEstimate(*installed.value(), "/A"), 8.0, 1e-9);
@@ -277,7 +332,6 @@ TEST(SynopsisStoreTest, WireXcsfInstallSpoolsToDisk) {
   store.SetSpoolDir(testing::TempDir());
   auto installed = store.InstallFromWire("c/with:odd chars", image, "peer", 0);
   ASSERT_TRUE(installed.ok()) << installed.status().ToString();
-  EXPECT_TRUE(installed.value()->mapped());
   // The spooled image is a complete, loadable XCSF file: a restarted
   // replica can cold-start straight from it.
   const std::string spooled =

@@ -349,8 +349,8 @@ int EstimateFile(const std::string& synopsis_path,
     }
   }
   // Per-query latency summary straight from the telemetry histogram the
-  // service records into on both the scalar and vectorized batch paths
-  // (the estimator's own estimate.latency_ns only counts scalar DP runs).
+  // service records for every batch slot (the estimator's own
+  // estimate.latency_ns only counts scalar DP runs, not lane groups).
   telemetry::MetricsSnapshot snapshot =
       telemetry::MetricsRegistry::Global().Snapshot();
   for (const auto& histogram : snapshot.histograms) {
