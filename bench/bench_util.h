@@ -10,7 +10,8 @@
 #include "data/imdb.h"
 #include "data/treebank.h"
 #include "data/xmark.h"
-#include "estimate/estimator.h"
+#include "estimate/flat_estimator.h"
+#include "estimate/flat_synopsis.h"
 #include "synopsis/reference.h"
 #include "workload/generator.h"
 #include "workload/metrics.h"
@@ -62,7 +63,8 @@ inline Experiment Setup(const std::string& name, double scale = 1.0,
 /// Estimates every workload query against `synopsis`.
 inline std::vector<double> EstimateAll(const GraphSynopsis& synopsis,
                                        const Workload& workload) {
-  XClusterEstimator estimator(synopsis);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat);
   std::vector<double> estimates;
   estimates.reserve(workload.queries.size());
   for (const WorkloadQuery& q : workload.queries) {

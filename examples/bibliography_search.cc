@@ -12,7 +12,6 @@
 
 #include "core/xcluster.h"
 #include "data/imdb.h"
-#include "estimate/estimator.h"
 #include "eval/evaluator.h"
 #include "query/parser.h"
 
@@ -78,8 +77,7 @@ int main() {
   // choosing a join order).
   const char* explained = "//movie[/year[range(1990,2005)]]/rating[range(75,100)]";
   Result<TwigQuery> query = ParseTwig(explained);
-  XClusterEstimator estimator(synopsis.synopsis());
   std::printf("\nexplain %s\n%s", explained,
-              estimator.Explain(query.value()).ToString().c_str());
+              synopsis.estimator().Explain(query.value()).ToString().c_str());
   return 0;
 }

@@ -3,7 +3,9 @@
 # from the bundled example document, feeds a scripted request stream
 # through the serve protocol, and validates the responses (including the
 # batch framing: header + exactly k item lines). Also exercises the
-# multi-query estimate path through the synopsis store.
+# multi-query estimate path through the synopsis store, and checks that
+# `estimate --explain` and `evaluate` print identical output for the same
+# synopsis as `.xcs` and as `.xcsf`.
 #
 # Usage: scripts/service_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -120,5 +122,34 @@ awk '/^[^#]/ {print $1, $3}' "$WORKDIR/multi.txt" > "$WORKDIR/est_xcs.txt"
 awk '/^[^#]/ {print $1, $3}' "$WORKDIR/multi_xcsf.txt" > "$WORKDIR/est_xcsf.txt"
 diff -u "$WORKDIR/est_xcs.txt" "$WORKDIR/est_xcsf.txt" \
   || fail ".xcs and .xcsf estimates differ"
+
+# 5. EXPLAIN and workload evaluation: both formats open as the same
+# FlatSynopsis, so the printed breakdown and error report must match byte
+# for byte. The workload's true selectivities are exact counts over
+# examples/books.xml.
+printf '%s\t%s\t%s\n' \
+  Struct 150 '//book' \
+  Struct 325 '//book/author' \
+  Struct 150 '//book[/price]' \
+  Struct 325 '//book//name' \
+  Numeric 76 '//book/year[range(1990,2020)]' \
+  String 40 '//book/title[contains(Graph)]' > "$WORKDIR/books.tsv"
+for format in xcs xcsf; do
+  "$XCLUSTERCTL" estimate --synopsis "$WORKDIR/books.$format" \
+    --query '//book[/price]/author' --explain \
+    > "$WORKDIR/explain_$format.txt" \
+    || fail "estimate --explain failed on .$format"
+  "$XCLUSTERCTL" evaluate --synopsis "$WORKDIR/books.$format" \
+    --workload "$WORKDIR/books.tsv" > "$WORKDIR/evaluate_$format.txt" \
+    || fail "evaluate failed on .$format"
+done
+echo "--- estimate --explain ---"
+cat "$WORKDIR/explain_xcs.txt"
+echo "--- evaluate ---"
+cat "$WORKDIR/evaluate_xcs.txt"
+diff -u "$WORKDIR/explain_xcs.txt" "$WORKDIR/explain_xcsf.txt" \
+  || fail ".xcs and .xcsf explain output differs"
+diff -u "$WORKDIR/evaluate_xcs.txt" "$WORKDIR/evaluate_xcsf.txt" \
+  || fail ".xcs and .xcsf evaluate reports differ"
 
 echo "service_smoke: OK"

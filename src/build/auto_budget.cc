@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <vector>
 
-#include "estimate/estimator.h"
+#include "estimate/flat_estimator.h"
+#include "estimate/flat_synopsis.h"
 #include "workload/metrics.h"
 
 namespace xcluster {
@@ -11,7 +12,8 @@ namespace xcluster {
 namespace {
 
 double ScoreSynopsis(const GraphSynopsis& synopsis, const Workload& workload) {
-  XClusterEstimator estimator(synopsis);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat);
   std::vector<double> estimates;
   estimates.reserve(workload.queries.size());
   for (const WorkloadQuery& query : workload.queries) {

@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -19,9 +18,6 @@ namespace {
 
 constexpr char kBinaryMagic[4] = {'X', 'C', 'S', 'B'};
 constexpr uint32_t kBinaryVersion = 2;
-
-/// Legacy version-1 text files begin with this token.
-constexpr std::string_view kLegacyMagic = "XCLUSTER 1";
 
 enum SectionId : uint8_t {
   kEnd = 0,      ///< end marker, followed by the whole-file CRC
@@ -479,197 +475,6 @@ Status WalkSections(ByteSource* src, Visitor&& visit) {
   }
 }
 
-// --- Legacy version-1 text format (read-only) ------------------------------
-
-Status ReadLegacySummary(std::istream& in, ValueSummary* vsumm) {
-  std::string tag, kind;
-  in >> tag >> kind;
-  if (tag != "vsumm") return Status::Corruption("expected vsumm record");
-  if (kind == "none") return Status::OK();
-  if (kind == "hist") {
-    size_t n = 0;
-    in >> n;
-    if (!in || n > (1u << 24)) return Status::Corruption("bad histogram size");
-    std::vector<HistogramBucket> buckets(n);
-    for (HistogramBucket& b : buckets) in >> b.lo >> b.hi >> b.count;
-    if (!in) return Status::Corruption("bad histogram record");
-    vsumm->set_type(ValueType::kNumeric);
-    *vsumm->mutable_histogram() = Histogram::FromBuckets(std::move(buckets));
-    return Status::OK();
-  }
-  if (kind == "wavelet") {
-    int64_t domain_lo = 0;
-    int64_t cell_width = 0;
-    size_t grid = 0;
-    double total = 0.0;
-    size_t n = 0;
-    in >> domain_lo >> cell_width >> grid >> total >> n;
-    if (!in || n > (1u << 24)) return Status::Corruption("bad wavelet size");
-    std::vector<WaveletSummary::Coefficient> coeffs(n);
-    for (auto& c : coeffs) in >> c.index >> c.value;
-    if (!in) return Status::Corruption("bad wavelet record");
-    vsumm->set_type(ValueType::kNumeric);
-    vsumm->set_numeric_kind(NumericSummaryKind::kWavelet);
-    *vsumm->mutable_wavelet() = WaveletSummary::FromCoefficients(
-        std::move(coeffs), domain_lo, cell_width, grid, total);
-    return Status::OK();
-  }
-  if (kind == "sample") {
-    double total = 0.0;
-    size_t n = 0;
-    in >> total >> n;
-    if (!in || n > (1u << 24)) return Status::Corruption("bad sample size");
-    std::vector<int64_t> sample(n);
-    for (int64_t& v : sample) in >> v;
-    if (!in) return Status::Corruption("bad sample record");
-    vsumm->set_type(ValueType::kNumeric);
-    vsumm->set_numeric_kind(NumericSummaryKind::kSample);
-    *vsumm->mutable_sample() =
-        SampleSummary::FromParts(std::move(sample), total);
-    return Status::OK();
-  }
-  if (kind == "pst") {
-    double total = 0.0;
-    size_t max_depth = 0;
-    size_t n = 0;
-    in >> total >> max_depth >> n;
-    if (!in || n > (1u << 24)) return Status::Corruption("bad pst size");
-    std::vector<Pst::DumpNode> dump(n);
-    for (size_t i = 0; i < n; ++i) {
-      int symbol = 0;
-      in >> dump[i].parent >> symbol >> dump[i].count;
-      dump[i].symbol = static_cast<char>(static_cast<unsigned char>(symbol));
-      if (in && dump[i].parent != -1 &&
-          (dump[i].parent < 0 || static_cast<size_t>(dump[i].parent) >= i)) {
-        return Status::Corruption("pst dump parent out of order");
-      }
-    }
-    if (!in) return Status::Corruption("bad pst record");
-    vsumm->set_type(ValueType::kString);
-    *vsumm->mutable_pst() = Pst::FromDump(dump, total, max_depth);
-    return Status::OK();
-  }
-  if (kind == "terms") {
-    size_t n_indexed = 0;
-    in >> n_indexed;
-    if (!in || n_indexed > (1u << 24)) {
-      return Status::Corruption("bad term-histogram size");
-    }
-    std::vector<std::pair<TermId, double>> indexed(n_indexed);
-    for (auto& [term, freq] : indexed) in >> term >> freq;
-    size_t n_members = 0;
-    in >> n_members;
-    if (!in || n_members > (1u << 24)) {
-      return Status::Corruption("bad term-histogram size");
-    }
-    std::vector<TermId> members(n_members);
-    for (TermId& term : members) in >> term;
-    double avg = 0.0;
-    in >> avg;
-    if (!in) return Status::Corruption("bad term-histogram record");
-    vsumm->set_type(ValueType::kText);
-    *vsumm->mutable_terms() =
-        TermHistogram::FromParts(std::move(indexed), std::move(members), avg);
-    return Status::OK();
-  }
-  return Status::Corruption("unknown vsumm kind '" + kind + "'");
-}
-
-Status ReadLegacyString(std::istream& in, std::string* s) {
-  size_t n = 0;
-  in >> n;
-  if (!in || n > (1u << 24)) return Status::Corruption("bad string record");
-  in.get();  // the separating space
-  s->resize(n);
-  in.read(s->data(), static_cast<std::streamsize>(n));
-  if (!in) return Status::Corruption("bad string record");
-  return Status::OK();
-}
-
-Result<GraphSynopsis> DecodeLegacyText(std::string_view bytes) {
-  std::istringstream in{std::string(bytes)};
-  std::string magic;
-  int version = 0;
-  in >> magic >> version;
-  if (magic != "XCLUSTER" || version != 1) {
-    return Status::Corruption("not a legacy XCluster synopsis");
-  }
-
-  GraphSynopsis synopsis;
-  std::string tag;
-  size_t num_labels = 0;
-  in >> tag >> num_labels;
-  if (tag != "labels" || !in || num_labels > (1u << 24)) {
-    return Status::Corruption("expected labels section");
-  }
-  in.get();  // newline
-  std::vector<std::string> labels(num_labels);
-  for (std::string& label : labels) {
-    XCLUSTER_RETURN_IF_ERROR(ReadLegacyString(in, &label));
-    synopsis.labels().Intern(label);
-  }
-
-  size_t num_terms = 0;
-  in >> tag >> num_terms;
-  if (tag != "terms" || !in || num_terms > (1u << 24)) {
-    return Status::Corruption("expected terms section");
-  }
-  in.get();
-  auto dict = std::make_shared<TermDictionary>();
-  for (size_t i = 0; i < num_terms; ++i) {
-    std::string term;
-    XCLUSTER_RETURN_IF_ERROR(ReadLegacyString(in, &term));
-    dict->Intern(term);
-  }
-  synopsis.set_term_dictionary(dict);
-
-  SynNodeId root = 0;
-  in >> tag >> root;
-  if (tag != "root" || !in) return Status::Corruption("expected root section");
-
-  size_t num_nodes = 0;
-  in >> tag >> num_nodes;
-  if (tag != "nodes" || !in || num_nodes > (1u << 24)) {
-    return Status::Corruption("expected nodes section");
-  }
-  for (size_t i = 0; i < num_nodes; ++i) {
-    std::string node_tag;
-    SymbolId label = 0;
-    int type = 0;
-    double count = 0.0;
-    in >> node_tag >> label >> type >> count;
-    if (node_tag != "node" || !in || label >= labels.size() || type < 0 ||
-        type > static_cast<int>(ValueType::kText)) {
-      return Status::Corruption("bad node record");
-    }
-    SynNodeId id =
-        synopsis.AddNode(labels[label], static_cast<ValueType>(type), count);
-    XCLUSTER_RETURN_IF_ERROR(
-        ReadLegacySummary(in, &synopsis.node(id).vsumm));
-  }
-  if (root >= num_nodes) return Status::Corruption("bad root id");
-  synopsis.set_root(root);
-
-  size_t num_edges = 0;
-  in >> tag >> num_edges;
-  if (tag != "edges" || !in || num_edges > (1u << 26)) {
-    return Status::Corruption("expected edges section");
-  }
-  for (size_t i = 0; i < num_edges; ++i) {
-    std::string edge_tag;
-    SynNodeId u = 0;
-    SynNodeId v = 0;
-    double avg = 0.0;
-    in >> edge_tag >> u >> v >> avg;
-    if (edge_tag != "edge" || u >= num_nodes || v >= num_nodes || !in) {
-      return Status::Corruption("bad edge record");
-    }
-    synopsis.AddEdge(u, v, avg);
-  }
-
-  return synopsis;
-}
-
 }  // namespace
 
 void EncodeValueSummary(const ValueSummary& vsumm, ByteSink* sink) {
@@ -874,9 +679,6 @@ Result<GraphSynopsis> DecodeSynopsis(ByteSource* src) {
 }
 
 Result<GraphSynopsis> DecodeSynopsisBytes(std::string_view bytes) {
-  if (bytes.substr(0, kLegacyMagic.size()) == kLegacyMagic) {
-    return DecodeLegacyText(bytes);
-  }
   StringSource src(bytes);
   return DecodeSynopsis(&src);
 }
@@ -888,15 +690,6 @@ Status VerifySynopsisBytes(std::string_view bytes, std::string* report) {
       *report += '\n';
     }
   };
-
-  if (bytes.substr(0, kLegacyMagic.size()) == kLegacyMagic) {
-    note("format: legacy text (version 1, no checksums)");
-    Result<GraphSynopsis> decoded = DecodeLegacyText(bytes);
-    XCLUSTER_RETURN_IF_ERROR(decoded.status());
-    note("nodes: " + std::to_string(decoded.value().NodeCount()));
-    note("edges: " + std::to_string(decoded.value().EdgeCount()));
-    return Status::OK();
-  }
 
   if (bytes.size() < 8 ||
       bytes.substr(0, 4) != std::string_view(kBinaryMagic, 4)) {

@@ -19,8 +19,8 @@ namespace xcluster {
 ///   sections: fixed8 id | varint64 len | payload | fixed32 masked-CRC32C
 ///   end:      fixed8 0  | fixed32 masked-CRC32C of every preceding byte
 ///
-/// Files written by the version-1 text format (leading "XCLUSTER 1") are
-/// still readable through a legacy fallback in DecodeSynopsis.
+/// Anything else — the retired version-1 text format ("XCLUSTER 1")
+/// included — fails the magic check with kCorruption.
 
 /// Serializes a compacted copy of `synopsis` to `sink`. Deterministic:
 /// equal synopses produce byte-identical output.
@@ -35,8 +35,7 @@ std::string EncodeSynopsisToString(const GraphSynopsis& synopsis);
 /// kCorruption for any malformed input, kIOError if the source fails.
 Result<GraphSynopsis> DecodeSynopsis(ByteSource* src);
 
-/// Decodes from an in-memory buffer, accepting both the binary format and
-/// the legacy version-1 text format (auto-detected by magic).
+/// DecodeSynopsis over an in-memory buffer.
 Result<GraphSynopsis> DecodeSynopsisBytes(std::string_view bytes);
 
 /// Integrity check without constructing a synopsis graph: walks the section

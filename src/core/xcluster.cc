@@ -16,11 +16,11 @@ XCluster XCluster::Build(const XmlDocument& doc, const Options& options) {
 }
 
 XCluster::XCluster(GraphSynopsis synopsis, EstimateOptions estimate)
-    : synopsis_(std::move(synopsis)), estimate_options_(estimate) {}
+    : synopsis_(std::move(synopsis)),
+      compiled_(std::make_shared<const Compiled>(synopsis_, estimate)) {}
 
 double XCluster::EstimateSelectivity(const TwigQuery& query) const {
-  XClusterEstimator estimator(synopsis_, estimate_options_);
-  return estimator.Estimate(query);
+  return compiled_->estimator.Estimate(query);
 }
 
 Result<double> XCluster::EstimateSelectivity(std::string_view twig) const {

@@ -7,7 +7,8 @@
 
 #include "build/builder.h"
 #include "common/status.h"
-#include "estimate/estimator.h"
+#include "estimate/flat_estimator.h"
+#include "estimate/flat_synopsis.h"
 #include "query/twig.h"
 #include "synopsis/graph.h"
 #include "synopsis/reference.h"
@@ -17,7 +18,9 @@ namespace xcluster {
 
 /// High-level facade over the whole library: build an XCluster synopsis of
 /// an XML document within a storage budget, then answer selectivity
-/// estimates for twig queries.
+/// estimates for twig queries. The synopsis is compiled once, at
+/// construction, into a FlatSynopsis served by one FlatEstimator; copies
+/// share both (they are immutable, and the estimator is thread-safe).
 ///
 ///   XCluster::Options options;
 ///   options.build.structural_budget = 20 * 1024;
@@ -36,7 +39,7 @@ class XCluster {
   /// Builds the synopsis for `doc` (reference construction + XCLUSTERBUILD).
   static XCluster Build(const XmlDocument& doc, const Options& options);
 
-  /// Wraps an already-constructed synopsis.
+  /// Wraps an already-constructed synopsis and compiles its flat form.
   explicit XCluster(GraphSynopsis synopsis,
                     EstimateOptions estimate = EstimateOptions());
 
@@ -47,6 +50,10 @@ class XCluster {
   Result<double> EstimateSelectivity(std::string_view twig) const;
 
   const GraphSynopsis& synopsis() const { return synopsis_; }
+  /// The compiled, read-optimized form of synopsis().
+  const FlatSynopsis& flat() const { return compiled_->flat; }
+  /// The estimator over flat() (EXPLAIN, precompiled plans).
+  const FlatEstimator& estimator() const { return compiled_->estimator; }
   const BuildStats& build_stats() const { return stats_; }
 
   /// Total size (structural + value bytes) under the synopsis size model.
@@ -58,14 +65,22 @@ class XCluster {
   /// (see docs/FORMAT.md). The write is atomic: temp file + fsync + rename.
   Status Save(const std::string& path) const;
 
-  /// Loads a synopsis previously written by Save(). Files in the legacy
-  /// version-1 text format are still accepted (read-only fallback).
+  /// Loads a synopsis previously written by Save(). Every section CRC is
+  /// verified; anything that is not an XCSB file fails with kCorruption.
   static Result<XCluster> Load(const std::string& path);
 
  private:
   GraphSynopsis synopsis_;
   BuildStats stats_;
-  EstimateOptions estimate_options_;
+  /// One allocation owns both, so the estimator never outlives the flat
+  /// form it references, whatever copies come and go.
+  struct Compiled {
+    Compiled(const GraphSynopsis& synopsis, EstimateOptions options)
+        : flat(synopsis), estimator(flat, options) {}
+    FlatSynopsis flat;
+    FlatEstimator estimator;
+  };
+  std::shared_ptr<const Compiled> compiled_;
 };
 
 }  // namespace xcluster

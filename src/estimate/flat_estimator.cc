@@ -1,6 +1,7 @@
 #include "estimate/flat_estimator.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/telemetry/telemetry.h"
 
@@ -11,6 +12,41 @@ namespace {
 /// are always >= 0).
 constexpr double kUnset = -1.0;
 }  // namespace
+
+bool PredicateKindMatchesType(ValuePredicate::Kind kind, ValueType type) {
+  switch (kind) {
+    case ValuePredicate::Kind::kRange:
+      return type == ValueType::kNumeric;
+    case ValuePredicate::Kind::kContains:
+      return type == ValueType::kString;
+    case ValuePredicate::Kind::kFtContains:
+    case ValuePredicate::Kind::kFtAny:
+    case ValuePredicate::Kind::kFtSimilar:
+      return type == ValueType::kText;
+  }
+  return false;
+}
+
+std::string EstimateExplanation::ToString() const {
+  char line[160];
+  std::snprintf(line, sizeof(line), "estimate: %.6g\n", selectivity);
+  std::string out = line;
+  if (!vars.empty()) {
+    std::snprintf(line, sizeof(line), "  %-28s %14s %12s\n", "var",
+                  "expected", "sigma");
+    out += line;
+  }
+  for (const VarStats& var : vars) {
+    std::string name = "q";
+    name += std::to_string(var.var);
+    name += ' ';
+    name += var.step.empty() ? "(root)" : var.step;
+    std::snprintf(line, sizeof(line), "  %-28s %14.6g %12.6g\n", name.c_str(),
+                  var.expected_bindings, var.predicate_selectivity);
+    out += line;
+  }
+  return out;
+}
 
 FlatEstimator::FlatEstimator(const FlatSynopsis& synopsis,
                              EstimateOptions options)
@@ -56,9 +92,8 @@ void FlatEstimator::ComputeDescendantReach(FlatNodeId source,
                                            const CompiledVar& var,
                                            ReachCache::Value* result) const {
   // Bounded-hop dense DP over the CSR adjacency. Sources are drained in
-  // ascending flat id and children in stored order — the same summation
-  // order as the legacy std::map-based DP, which keeps every accumulated
-  // double bit-identical.
+  // ascending flat id and children in stored order, so every accumulated
+  // double is a deterministic function of (source, label).
   const uint32_t n = synopsis_.num_nodes();
   std::vector<double> frontier_mass(n, 0.0);
   std::vector<double> next_mass(n, 0.0);

@@ -1,36 +1,89 @@
 #ifndef XCLUSTER_ESTIMATE_FLAT_ESTIMATOR_H_
 #define XCLUSTER_ESTIMATE_FLAT_ESTIMATOR_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "estimate/compiled_twig.h"
-#include "estimate/estimator.h"
 #include "estimate/flat_synopsis.h"
 #include "estimate/reach_cache.h"
+#include "query/twig.h"
 
 namespace xcluster {
 
-/// Selectivity estimation over a FlatSynopsis from precompiled plans: the
-/// serving hot path. Implements exactly the query-embedding DP of
-/// XClusterEstimator (Sec. 5), with the per-call `unordered_map` memos
-/// replaced by dense `double` tables indexed by (variable, flat node id)
-/// and the descendant reach memo replaced by a shared bounded LRU
-/// (ReachCache).
+/// Options for the XCluster estimation algorithm.
+struct EstimateOptions {
+  /// Maximum number of hops explored for the descendant axis over the
+  /// synopsis graph. Synopses of recursive schemas (XMark's parlist) are
+  /// cyclic, so descendant reach counts are computed as a bounded-hop DP;
+  /// contributions decay geometrically in practice.
+  size_t max_descendant_hops = 24;
+
+  /// Per-hop contributions below this mass are dropped.
+  double epsilon = 1e-9;
+
+  /// Selectivity assumed for a predicate on a cluster whose value type
+  /// matches the predicate kind but which carries no value summary (the
+  /// reference synopsis only summarizes configured paths). The default (0)
+  /// matches the paper's setting, where queries only ever filter on
+  /// summarized paths; optimizer integrations that issue predicates on
+  /// arbitrary paths can set the classical "magic constant" (e.g. 0.1)
+  /// instead. Type-incompatible predicates always estimate 0.
+  double default_selectivity = 0.0;
+
+  /// Entry bound for the descendant reach cache (see ReachCache), a
+  /// sharded LRU with this capacity. 0 disables caching.
+  size_t reach_cache_capacity = 1 << 16;
+  size_t reach_cache_shards = 8;
+};
+
+/// True if a predicate of this kind can hold on values of `type` at all
+/// (a range predicate can never hold on a TEXT element).
+bool PredicateKindMatchesType(ValuePredicate::Kind kind, ValueType type);
+
+/// Per-variable breakdown of an estimate (see FlatEstimator::Explain).
+struct EstimateExplanation {
+  struct VarStats {
+    QueryVarId var = 0;
+    std::string step;             ///< e.g. "//paper" ("" for the root)
+    double expected_bindings = 0; ///< elements bound to this variable
+    double predicate_selectivity = 1.0;  ///< combined sigma at this var
+  };
+  double selectivity = 0.0;  ///< the overall estimate s(Q)
+  std::vector<VarStats> vars;
+
+  /// Multi-line human-readable rendering.
+  std::string ToString() const;
+};
+
+/// Selectivity estimation over an XCluster synopsis (Sec. 5), from plans
+/// compiled against its FlatSynopsis.
 ///
-/// Bit-identity: for any query, Estimate(Compile(q)) returns the same
-/// double as XClusterEstimator::Estimate(q) over the source synopsis —
-/// both paths add and multiply the identical values in the identical
-/// order (flat ids preserve arena order; the per-label child index is
-/// stable-sorted; the descendant DP sums sources ascending and children
-/// in stored order, exactly like the legacy std::map DP).
-/// tests/flat_estimator_test.cc enforces this with EXPECT_EQ on doubles
-/// across the fig8/table2 workload generators.
+/// Implements the query-embedding framework under the generalized
+/// Path-Value Independence assumption: the expected number of elements of
+/// synopsis node c reached per element of node u through path u[p]/c is
+/// sigma_p(u) * count(u, c). The total estimate sums, over all embeddings
+/// of the query into the synopsis graph, the product of edge reach-counts
+/// and predicate selectivities — computed in factored form by dynamic
+/// programming over query variables, with dense `double` memo tables
+/// indexed by (variable, flat node id) and the descendant reach memo in a
+/// shared bounded LRU (ReachCache).
 ///
-/// Thread safety: same contract as XClusterEstimator — any number of
-/// concurrent Estimate/Explain calls; the reach cache stores pure values
-/// first-writer-wins, and eviction only ever forces recomputation of an
-/// identical value, so results are deterministic under any interleaving.
+/// Summation order: the descendant DP sums sources in ascending flat id
+/// and children in stored order, labeled child steps walk the
+/// stable-sorted per-label index, and Explain walks per-variable masses
+/// in ascending flat id — so every double is a deterministic function of
+/// the synopsis and the query. tests/flat_estimator_test.cc pins that
+/// order with EXPECT_EQ on doubles against a std::map-based oracle of the
+/// same DP over the GraphSynopsis, across the fig8/table2 workload
+/// generators.
+///
+/// Thread safety: any number of concurrent Estimate/Explain calls; the
+/// reach cache stores pure values first-writer-wins, and eviction only
+/// ever forces recomputation of an identical value, so results are
+/// deterministic under any interleaving.
 class FlatEstimator {
  public:
   /// `synopsis` must outlive the estimator.
@@ -41,12 +94,22 @@ class FlatEstimator {
   /// synopsis).
   double Estimate(const CompiledTwig& plan) const;
 
-  /// Estimate plus the EXPLAIN-style per-variable breakdown.
-  /// Deterministic, and exactly equal to XClusterEstimator::Explain:
-  /// both walk per-variable masses in ascending node order (flat ids
-  /// preserve arena order), so every per-variable sum accumulates in the
-  /// same order and the doubles match bit for bit.
+  /// Compiles `query` against synopsis() and estimates it. ftcontains
+  /// terms are resolved against the synopsis' term dictionary.
+  double Estimate(const TwigQuery& query) const {
+    return Estimate(CompiledTwig::Compile(query, synopsis_));
+  }
+
+  /// Estimate plus an EXPLAIN-style per-variable breakdown: the expected
+  /// number of elements bound to each query variable (after predicates)
+  /// and the average predicate selectivity applied there — what an
+  /// optimizer looks at when choosing a join order. Deterministic: nodes
+  /// are walked in ascending flat id order.
   EstimateExplanation Explain(const CompiledTwig& plan) const;
+
+  EstimateExplanation Explain(const TwigQuery& query) const {
+    return Explain(CompiledTwig::Compile(query, synopsis_));
+  }
 
   /// Combined selectivity of `plan.var(var)`'s predicates at `node` —
   /// the sigma term of the embedding DP. Public for the batch lane

@@ -79,7 +79,7 @@ FlatSynopsis::FlatSynopsis(const GraphSynopsis& synopsis)
 
   // Per-label index: each node's edge range stable-sorted by child label,
   // so one label's children stay in original order (the summation order
-  // the legacy path uses).
+  // of a plain child scan).
   owned_.sorted_edge_labels.resize(m);
   owned_.sorted_edge_targets.resize(m);
   owned_.sorted_edge_counts.resize(m);

@@ -123,8 +123,7 @@ Result<std::shared_ptr<const StoredSynopsis>> SynopsisStore::Install(
     const std::string& name, const XCluster& synopsis, uint64_t generation,
     std::string source) {
   std::string image;
-  XC_RETURN_IF_ERROR(
-      storage::XcsfWriter::Encode(FlatSynopsis(synopsis.synopsis()), &image));
+  XC_RETURN_IF_ERROR(storage::XcsfWriter::Encode(synopsis.flat(), &image));
   Result<storage::XcsfMmapView> view =
       storage::XcsfMmapView::Adopt(std::move(image));
   if (!view.ok()) return view.status();

@@ -11,7 +11,6 @@
 
 #include "common/status.h"
 #include "core/xcluster.h"
-#include "estimate/estimator.h"
 #include "estimate/flat_estimator.h"
 #include "estimate/flat_synopsis.h"
 #include "storage/xcsf_mmap_view.h"
@@ -111,8 +110,8 @@ class SynopsisStore {
   void SetSpoolDir(std::string dir) { spool_dir_ = std::move(dir); }
   const std::string& spool_dir() const { return spool_dir_; }
 
-  /// Compiles `synopsis` to an in-memory XCSF image (FlatSynopsis →
-  /// XcsfWriter::Encode → XcsfMmapView::Adopt) and publishes it under
+  /// Encodes the facade's compiled FlatSynopsis as an in-memory XCSF
+  /// image (XcsfWriter::Encode → XcsfMmapView::Adopt) and publishes it under
   /// `name`, replacing any previous snapshot (which stays alive until its
   /// last in-flight reader drops it). Returns the installed snapshot, or
   /// the encode/validate failure (catalog untouched).
@@ -133,8 +132,8 @@ class SynopsisStore {
   /// Loads a synopsis file and installs it under `name`, auto-detecting
   /// the format from the magic: `.xcsf` images are mmapped zero-copy
   /// (validated, never parsed), anything else goes through the `.xcs`
-  /// decode path (full checksum verification in XCluster::Load) and is
-  /// compiled to an in-memory image as in Install. The
+  /// decode path (full checksum verification in XCluster::Load; any other
+  /// magic is kCorruption) and is installed as in Install. The
   /// load/map runs outside all locks; a failed load leaves any existing
   /// snapshot untouched. A non-empty `source` is prepended to failure
   /// messages (and recorded as the snapshot's provenance) so a load

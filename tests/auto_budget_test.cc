@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "data/imdb.h"
-#include "estimate/estimator.h"
+#include "estimate/flat_estimator.h"
+#include "estimate/flat_synopsis.h"
 #include "synopsis/reference.h"
 #include "workload/metrics.h"
 
@@ -62,7 +63,8 @@ TEST_F(AutoBudgetTest, ChoosesCompetitiveSplit) {
   Workload workload = GenerateWorkload(dataset_.doc, reference_, held_out);
 
   auto error_of = [&](const GraphSynopsis& synopsis) {
-    XClusterEstimator estimator(synopsis);
+    const FlatSynopsis flat(synopsis);
+    const FlatEstimator estimator(flat);
     std::vector<double> estimates;
     for (const WorkloadQuery& q : workload.queries) {
       estimates.push_back(estimator.Estimate(q.query));

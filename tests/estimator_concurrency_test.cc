@@ -1,9 +1,9 @@
-// Regression tests for concurrent use of one XClusterEstimator. The
-// descendant-reachability memo (descendant_cache_) used to be an
-// unsynchronized mutable map — racing Estimate() calls from two threads
-// was undefined behavior. These tests drive descendant-heavy queries from
-// many threads at once and are part of the TSan suite in CI.
-#include "estimate/estimator.h"
+// Regression tests for concurrent use of one FlatEstimator. The
+// descendant-reachability memo used to be an unsynchronized mutable map —
+// racing Estimate() calls from two threads was undefined behavior. These
+// tests drive descendant-heavy queries from many threads at once and are
+// part of the TSan suite in CI.
+#include "estimate/flat_estimator.h"
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "estimate/flat_synopsis.h"
 #include "query/parser.h"
 #include "synopsis/graph.h"
 
@@ -55,7 +56,8 @@ TEST(EstimatorConcurrencyTest, ParallelDescendantQueriesMatchSerial) {
   // Serial baseline on a fresh estimator (cold cache).
   std::vector<double> expected;
   {
-    XClusterEstimator baseline(synopsis);
+    const FlatSynopsis baseline_flat(synopsis);
+    const FlatEstimator baseline(baseline_flat);
     for (const std::string& query : kDescendantQueries) {
       expected.push_back(baseline.Estimate(MustParse(query)));
     }
@@ -63,7 +65,8 @@ TEST(EstimatorConcurrencyTest, ParallelDescendantQueriesMatchSerial) {
 
   // One shared estimator, many threads, repeated passes: the first pass
   // races cache fills, later passes race reads against late writers.
-  XClusterEstimator shared(synopsis);
+  const FlatSynopsis shared_flat(synopsis);
+  const FlatEstimator shared(shared_flat);
   constexpr int kThreads = 8;
   constexpr int kPasses = 25;
   std::vector<std::vector<double>> got(kThreads);
@@ -96,7 +99,8 @@ TEST(EstimatorConcurrencyTest, ParallelDescendantQueriesMatchSerial) {
 
 TEST(EstimatorConcurrencyTest, ExplainIsSafeAlongsideEstimate) {
   GraphSynopsis synopsis = MakeDeepSynopsis();
-  XClusterEstimator shared(synopsis);
+  const FlatSynopsis shared_flat(synopsis);
+  const FlatEstimator shared(shared_flat);
   const TwigQuery probe = MustParse("//C//E");
   const double expected = shared.Estimate(probe);
   const std::string expected_explanation =

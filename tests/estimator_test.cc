@@ -1,7 +1,8 @@
-#include "estimate/estimator.h"
+#include "estimate/flat_estimator.h"
 
 #include <gtest/gtest.h>
 
+#include "estimate/flat_synopsis.h"
 #include "query/parser.h"
 
 namespace xcluster {
@@ -39,8 +40,8 @@ struct Fig7 {
   }
 
   double Estimate(std::string_view twig) {
-    XClusterEstimator estimator(synopsis);
-    return estimator.Estimate(MustParse(twig));
+    const FlatSynopsis flat(synopsis);
+    return FlatEstimator(flat).Estimate(MustParse(twig));
   }
 };
 
@@ -105,7 +106,8 @@ TEST(EstimatorTest, DefaultSelectivityFallbackOnUnsummarizedCluster) {
   synopsis.set_term_dictionary(std::make_shared<TermDictionary>());
   EstimateOptions options;
   options.default_selectivity = 0.25;
-  XClusterEstimator estimator(synopsis, options);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat, options);
   EXPECT_NEAR(estimator.Estimate(MustParse("/Y[range(0,10)]")), 10.0, 1e-9);
   // Kind-incompatible predicates still estimate zero.
   EXPECT_EQ(estimator.Estimate(MustParse("/Y[contains(x)]")), 0.0);
@@ -122,7 +124,8 @@ TEST(EstimatorTest, FtAnyUsesInclusionExclusion) {
   synopsis.node(t).vsumm =
       ValueSummary::FromTexts({{love}, {love}, {war}, {}});
   synopsis.set_term_dictionary(dict);
-  XClusterEstimator estimator(synopsis);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat);
   // w[love] = 0.5, w[war] = 0.25 -> 4 * (1 - 0.5*0.75) = 2.5.
   EXPECT_NEAR(estimator.Estimate(MustParse("/T[ftany(love,war)]")), 2.5,
               1e-9);
@@ -142,7 +145,8 @@ TEST(EstimatorTest, FtSimilarUsesPoissonBinomial) {
   synopsis.node(t).vsumm = ValueSummary::FromTexts(
       {{a, b}, {a, b}, {a}, {a}, {b}, {b}, {}, {}});  // w[a]=w[b]=0.5
   synopsis.set_term_dictionary(dict);
-  XClusterEstimator estimator(synopsis);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat);
   // >= 50% of {alpha, beta} = at least 1 match: 8 * 0.75 = 6.
   EXPECT_NEAR(
       estimator.Estimate(MustParse("/T[ftsimilar(50,alpha,beta)]")), 6.0,
@@ -160,7 +164,8 @@ TEST(EstimatorTest, UnknownFtTermIsZero) {
 
 TEST(EstimatorTest, EmptySynopsis) {
   GraphSynopsis synopsis;
-  XClusterEstimator estimator(synopsis);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat);
   EXPECT_EQ(estimator.Estimate(TwigQuery()), 0.0);
 }
 
@@ -176,7 +181,8 @@ TEST(EstimatorTest, CycleSafeDescendant) {
   synopsis.AddEdge(parlist, parlist, 0.5);
   synopsis.AddEdge(parlist, text, 1.0);
   synopsis.set_term_dictionary(std::make_shared<TermDictionary>());
-  XClusterEstimator estimator(synopsis);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat);
   // //text: sum over depths: 10 * (1 + 0.5 + 0.25 + ...) * 1 = 20.
   EXPECT_NEAR(estimator.Estimate(MustParse("//text")), 20.0, 1e-3);
 }
@@ -192,7 +198,8 @@ TEST(EstimatorTest, HopLimitBoundsDivergentCycles) {
   synopsis.set_term_dictionary(std::make_shared<TermDictionary>());
   EstimateOptions options;
   options.max_descendant_hops = 8;
-  XClusterEstimator estimator(synopsis, options);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat, options);
   double estimate = estimator.Estimate(MustParse("//L"));
   EXPECT_NEAR(estimate, 8.0, 1e-9);  // one unit per hop, capped at 8
 }
@@ -205,7 +212,8 @@ TEST(EstimatorTest, BranchesMultiply) {
 
 TEST(EstimatorTest, ExplainReportsPerVariableCardinalities) {
   Fig7 f;
-  XClusterEstimator estimator(f.synopsis);
+  const FlatSynopsis flat(f.synopsis);
+  const FlatEstimator estimator(flat);
   EstimateExplanation explanation =
       estimator.Explain(MustParse("/A/B/C[range(0,4)]"));
   EXPECT_NEAR(explanation.selectivity, 250.0, 1e-9);
@@ -222,7 +230,8 @@ TEST(EstimatorTest, ExplainReportsPerVariableCardinalities) {
 
 TEST(EstimatorTest, ExplainBranchesDoNotMultiplySiblings) {
   Fig7 f;
-  XClusterEstimator estimator(f.synopsis);
+  const FlatSynopsis flat(f.synopsis);
+  const FlatEstimator estimator(flat);
   EstimateExplanation explanation =
       estimator.Explain(MustParse("/A[/B]/D"));
   // Per-variable counts: B = 100 reached, D = 50 reached — independent of
@@ -240,7 +249,8 @@ TEST(EstimatorTest, SelfLoopChildStep) {
   synopsis.AddEdge(root, p, 10.0);
   synopsis.AddEdge(p, p, 2.0);
   synopsis.set_term_dictionary(std::make_shared<TermDictionary>());
-  XClusterEstimator estimator(synopsis);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat);
   EXPECT_NEAR(estimator.Estimate(MustParse("/p/p")), 20.0, 1e-9);
 }
 

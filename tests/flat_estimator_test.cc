@@ -1,7 +1,7 @@
 // Bit-identity tests for the flat estimation path: for every query,
 // FlatEstimator::Estimate over the compiled plan must return the *same
-// double* (EXPECT_EQ, not EXPECT_NEAR) as XClusterEstimator::Estimate over
-// the source synopsis. Exercised on hand-built fixtures, on merged
+// double* (EXPECT_EQ, not EXPECT_NEAR) as the graph-walking oracle
+// (oracle_estimator.h) over the source synopsis. Exercised on hand-built fixtures, on merged
 // (budget-built) synopses with dead arena nodes, and across the fig8-style
 // generated workload suites for both XMark and IMDB.
 #include "estimate/flat_estimator.h"
@@ -16,8 +16,8 @@
 #include "data/imdb.h"
 #include "data/xmark.h"
 #include "estimate/compiled_twig.h"
-#include "estimate/estimator.h"
 #include "estimate/flat_synopsis.h"
+#include "oracle_estimator.h"
 #include "query/parser.h"
 #include "synopsis/graph.h"
 #include "synopsis/reference.h"
@@ -32,15 +32,15 @@ TwigQuery MustParse(std::string_view input) {
   return std::move(result).value();
 }
 
-/// Asserts flat == legacy, bit for bit, for one query.
+/// Asserts flat == oracle, bit for bit, for one query.
 void ExpectIdentical(const GraphSynopsis& synopsis,
                      const std::string& query) {
-  XClusterEstimator legacy(synopsis);
+  OracleEstimator oracle(synopsis);
   FlatSynopsis flat(synopsis);
   FlatEstimator estimator(flat);
   const TwigQuery twig = MustParse(query);
   const CompiledTwig plan = CompiledTwig::Compile(twig, flat);
-  EXPECT_EQ(estimator.Estimate(plan), legacy.Estimate(twig)) << query;
+  EXPECT_EQ(estimator.Estimate(plan), oracle.Estimate(twig)) << query;
 }
 
 GraphSynopsis MakeFig7() {
@@ -97,9 +97,9 @@ TEST(FlatSynopsisTest, SurvivesSourceGraphDestruction) {
   // form is now self-contained, so estimating after the source graph is
   // destroyed must work — and stay bit-identical to estimating before.
   auto synopsis = std::make_unique<GraphSynopsis>(MakeFig7());
-  XClusterEstimator legacy(*synopsis);
+  OracleEstimator oracle(*synopsis);
   const TwigQuery twig = MustParse("//A[/B/C[range(0,4)]]//E");
-  const double expected = legacy.Estimate(twig);
+  const double expected = oracle.Estimate(twig);
 
   FlatSynopsis flat(*synopsis);
   const CompiledTwig plan = CompiledTwig::Compile(twig, flat);
@@ -162,33 +162,33 @@ TEST(FlatEstimatorTest, EmptySynopsisAndEmptyPlan) {
   EXPECT_EQ(estimator.Estimate(CompiledTwig()), 0.0);
 }
 
-/// Asserts the legacy and flat EXPLAIN breakdowns agree exactly — doubles
-/// with EXPECT_EQ, not EXPECT_NEAR. Legacy Explain walks per-variable
-/// masses in sorted node order precisely so this holds.
+/// Asserts the oracle and flat EXPLAIN breakdowns agree exactly — doubles
+/// with EXPECT_EQ, not EXPECT_NEAR. The oracle's Explain walks
+/// per-variable masses in sorted node order precisely so this holds.
 void ExpectExplainIdentical(const GraphSynopsis& synopsis,
                             const std::string& query) {
-  XClusterEstimator legacy(synopsis);
+  OracleEstimator oracle(synopsis);
   FlatSynopsis flat(synopsis);
   FlatEstimator estimator(flat);
   const TwigQuery twig = MustParse(query);
-  const EstimateExplanation from_legacy = legacy.Explain(twig);
+  const EstimateExplanation from_oracle = oracle.Explain(twig);
   const EstimateExplanation from_flat =
       estimator.Explain(CompiledTwig::Compile(twig, flat));
-  EXPECT_EQ(from_flat.selectivity, from_legacy.selectivity) << query;
-  ASSERT_EQ(from_flat.vars.size(), from_legacy.vars.size()) << query;
+  EXPECT_EQ(from_flat.selectivity, from_oracle.selectivity) << query;
+  ASSERT_EQ(from_flat.vars.size(), from_oracle.vars.size()) << query;
   for (size_t v = 0; v < from_flat.vars.size(); ++v) {
     EXPECT_EQ(from_flat.vars[v].expected_bindings,
-              from_legacy.vars[v].expected_bindings)
+              from_oracle.vars[v].expected_bindings)
         << query << " var " << v;
     EXPECT_EQ(from_flat.vars[v].predicate_selectivity,
-              from_legacy.vars[v].predicate_selectivity)
+              from_oracle.vars[v].predicate_selectivity)
         << query << " var " << v;
-    EXPECT_EQ(from_flat.vars[v].step, from_legacy.vars[v].step);
+    EXPECT_EQ(from_flat.vars[v].step, from_oracle.vars[v].step);
   }
-  EXPECT_EQ(from_flat.ToString(), from_legacy.ToString()) << query;
+  EXPECT_EQ(from_flat.ToString(), from_oracle.ToString()) << query;
 }
 
-TEST(FlatEstimatorTest, ExplainBitIdenticalToLegacy) {
+TEST(FlatEstimatorTest, ExplainBitIdenticalToOracle) {
   GraphSynopsis fig7 = MakeFig7();
   for (const char* query :
        {"//A[/B/C[range(0,0)]]//E", "/A/B/C[range(0,4)]", "//C", "/A/*",
@@ -214,11 +214,11 @@ TEST(FlatEstimatorTest, ExplainSelectivityMatchesEstimate) {
   GraphSynopsis synopsis = MakeFig7();
   FlatSynopsis flat(synopsis);
   FlatEstimator estimator(flat);
-  XClusterEstimator legacy(synopsis);
+  OracleEstimator oracle(synopsis);
   const TwigQuery twig = MustParse("/A/B/C[range(0,4)]");
   const CompiledTwig plan = CompiledTwig::Compile(twig, flat);
   EstimateExplanation explanation = estimator.Explain(plan);
-  EXPECT_EQ(explanation.selectivity, legacy.Estimate(twig));
+  EXPECT_EQ(explanation.selectivity, oracle.Estimate(twig));
   ASSERT_EQ(explanation.vars.size(), 4u);
   EXPECT_NEAR(explanation.vars[3].expected_bindings, 250.0, 1e-9);
   EXPECT_EQ(explanation.vars[3].step, "/C");
@@ -242,18 +242,18 @@ void RunWorkloadSuite(const GeneratedDataset& dataset, size_t num_queries) {
   GraphSynopsis merged = XClusterBuild(reference, build_options, nullptr);
 
   for (const GraphSynopsis* synopsis : {&reference, &merged}) {
-    XClusterEstimator legacy(*synopsis);
+    OracleEstimator oracle(*synopsis);
     FlatSynopsis flat(*synopsis);
     FlatEstimator estimator(flat);
     for (const WorkloadQuery& query : workload.queries) {
       const CompiledTwig plan = CompiledTwig::Compile(query.query, flat);
-      EXPECT_EQ(estimator.Estimate(plan), legacy.Estimate(query.query));
-      // EXPLAIN breakdowns must agree exactly too (legacy walks nodes in
-      // sorted order specifically to make this comparison exact).
+      EXPECT_EQ(estimator.Estimate(plan), oracle.Estimate(query.query));
+      // EXPLAIN breakdowns must agree exactly too (the oracle walks nodes
+      // in sorted order specifically to make this comparison exact).
       const EstimateExplanation flat_explain = estimator.Explain(plan);
-      const EstimateExplanation legacy_explain = legacy.Explain(query.query);
-      EXPECT_EQ(flat_explain.selectivity, legacy_explain.selectivity);
-      EXPECT_EQ(flat_explain.ToString(), legacy_explain.ToString());
+      const EstimateExplanation oracle_explain = oracle.Explain(query.query);
+      EXPECT_EQ(flat_explain.selectivity, oracle_explain.selectivity);
+      EXPECT_EQ(flat_explain.ToString(), oracle_explain.ToString());
     }
   }
 }

@@ -3,7 +3,8 @@
 #include "build/builder.h"
 #include "data/imdb.h"
 #include "data/xmark.h"
-#include "estimate/estimator.h"
+#include "estimate/flat_estimator.h"
+#include "estimate/flat_synopsis.h"
 #include "eval/evaluator.h"
 #include "synopsis/reference.h"
 #include "workload/generator.h"
@@ -35,7 +36,8 @@ class IntegrationTest : public ::testing::TestWithParam<bool> {
   }
 
   std::vector<double> Estimates(const GraphSynopsis& synopsis) {
-    XClusterEstimator estimator(synopsis);
+    const FlatSynopsis flat(synopsis);
+    const FlatEstimator estimator(flat);
     std::vector<double> estimates;
     estimates.reserve(workload_.queries.size());
     for (const WorkloadQuery& q : workload_.queries) {
@@ -52,7 +54,8 @@ class IntegrationTest : public ::testing::TestWithParam<bool> {
 TEST_P(IntegrationTest, ReferenceEstimatesStructuralQueriesExactly) {
   // Count-stability + unique incoming paths make reference estimates of
   // purely structural twigs exact (up to floating-point noise).
-  XClusterEstimator estimator(reference_);
+  const FlatSynopsis flat(reference_);
+  const FlatEstimator estimator(flat);
   for (const WorkloadQuery& q : workload_.queries) {
     if (q.pred_class != ValueType::kNone) continue;
     double estimate = estimator.Estimate(q.query);
@@ -105,7 +108,8 @@ TEST_P(IntegrationTest, NegativeWorkloadEstimatesNearZero) {
   build.structural_budget = 4096;
   build.value_budget = 16384;
   GraphSynopsis synopsis = XClusterBuild(reference_, build, nullptr);
-  XClusterEstimator estimator(synopsis);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat);
   double total_estimate = 0.0;
   for (const WorkloadQuery& q : negative.queries) {
     total_estimate += estimator.Estimate(q.query);

@@ -11,7 +11,8 @@
 #include "build/delta.h"
 #include "common/rng.h"
 #include "core/xcluster.h"
-#include "estimate/estimator.h"
+#include "estimate/flat_estimator.h"
+#include "estimate/flat_synopsis.h"
 #include "eval/evaluator.h"
 #include "synopsis/reference.h"
 #include "xml/document.h"
@@ -82,7 +83,8 @@ TEST_P(RandomizedTest, ReferenceEstimatesStructuralQueriesExactly) {
   XmlDocument doc = RandomDocument(&rng, 150);
   GraphSynopsis reference = BuildReferenceSynopsis(doc, ReferenceOptions());
   ExactEvaluator evaluator(doc, reference.term_dictionary().get());
-  XClusterEstimator estimator(reference);
+  const FlatSynopsis flat(reference);
+  const FlatEstimator estimator(flat);
   for (int i = 0; i < 40; ++i) {
     TwigQuery query = RandomStructuralQuery(&rng);
     double truth = evaluator.Selectivity(query);

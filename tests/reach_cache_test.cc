@@ -12,7 +12,8 @@
 #include <thread>
 #include <vector>
 
-#include "estimate/estimator.h"
+#include "estimate/flat_estimator.h"
+#include "estimate/flat_synopsis.h"
 #include "query/parser.h"
 #include "synopsis/graph.h"
 
@@ -169,7 +170,8 @@ TEST(ReachCacheTest, EstimatorCacheStaysBoundedAndCounts) {
   EstimateOptions options;
   options.reach_cache_capacity = 4;
   options.reach_cache_shards = 2;
-  XClusterEstimator estimator(synopsis, options);
+  const FlatSynopsis flat(synopsis);
+  const FlatEstimator estimator(flat, options);
   for (int pass = 0; pass < 3; ++pass) {
     for (const std::string& query : kDescendantQueries) {
       estimator.Estimate(MustParse(query));
@@ -189,7 +191,8 @@ TEST(ReachCacheTest, ConcurrentEstimatesDeterministicUnderEviction) {
 
   std::vector<double> expected;
   {
-    XClusterEstimator baseline(synopsis);
+    const FlatSynopsis baseline_flat(synopsis);
+    const FlatEstimator baseline(baseline_flat);
     for (const std::string& query : kDescendantQueries) {
       expected.push_back(baseline.Estimate(MustParse(query)));
     }
@@ -198,7 +201,8 @@ TEST(ReachCacheTest, ConcurrentEstimatesDeterministicUnderEviction) {
   EstimateOptions options;
   options.reach_cache_capacity = 3;
   options.reach_cache_shards = 1;
-  XClusterEstimator shared(synopsis, options);
+  const FlatSynopsis shared_flat(synopsis);
+  const FlatEstimator shared(shared_flat, options);
   constexpr int kThreads = 8;
   constexpr int kPasses = 20;
   std::vector<int> mismatches(kThreads, 0);

@@ -1,13 +1,16 @@
 // Property tests for the binary synopsis format: byte-identical re-encoding
-// for every value-summary kind, and detection of single-bit flips anywhere
-// in the file.
+// for every value-summary kind, detection of single-bit flips anywhere in
+// the file, and rejection of the retired text format.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "common/io/file_io.h"
 #include "core/serialize.h"
+#include "core/xcluster.h"
+#include "service/synopsis_store.h"
 #include "synopsis/graph.h"
 
 namespace xcluster {
@@ -122,10 +125,12 @@ TEST(SerializeCorruptionTest, VerifyReportsSectionsForCleanFile) {
   }
 }
 
-// A file written by the retired version-1 text serializer must still load
-// through the legacy fallback (read-only backwards compatibility).
-TEST(SerializeCorruptionTest, LegacyTextFormatStillLoads) {
-  const std::string legacy =
+// The retired version-1 text format has no reader any more: its bytes must
+// fail like any other bad magic — a clean kCorruption, no crash — at every
+// entry point that accepts a synopsis, and a failed store load must leave
+// the snapshot already installed under that name in place.
+TEST(SerializeCorruptionTest, RetiredTextFormatIsRejected) {
+  const std::string v1 =
       "XCLUSTER 1\n"
       "labels 2\n"
       "4 root\n"
@@ -140,18 +145,23 @@ TEST(SerializeCorruptionTest, LegacyTextFormatStillLoads) {
       "vsumm hist 2 0 9 12 10 19 5\n"
       "edges 1\n"
       "edge 0 1 17\n";
-  Result<GraphSynopsis> decoded = DecodeSynopsisBytes(legacy);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value().NodeCount(), 2u);
-  EXPECT_EQ(decoded.value().EdgeCount(), 1u);
-  EXPECT_EQ(decoded.value().node(1).vsumm.histogram().bucket_count(), 2u);
-  ASSERT_NE(decoded.value().term_dictionary(), nullptr);
-  EXPECT_EQ(decoded.value().term_dictionary()->Get(0), "hello");
-
-  // Verify understands the legacy format too (and says so).
+  Result<GraphSynopsis> decoded = DecodeSynopsisBytes(v1);
+  EXPECT_EQ(decoded.status().code(), Status::Code::kCorruption);
   std::string report;
-  EXPECT_TRUE(VerifySynopsisBytes(legacy, &report).ok());
-  EXPECT_NE(report.find("legacy"), std::string::npos) << report;
+  EXPECT_EQ(VerifySynopsisBytes(v1, &report).code(),
+            Status::Code::kCorruption);
+
+  const std::string path = testing::TempDir() + "/retired_v1.xcs";
+  ASSERT_TRUE(WriteFileAtomic(path, v1).ok());
+  Result<XCluster> loaded = XCluster::Load(path);
+  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+
+  SynopsisStore store;
+  ASSERT_TRUE(store.Install("c", XCluster(AllKindSynopses()[0].second)).ok());
+  const auto before = store.Get("c");
+  auto installed = store.LoadFile("c", path);
+  EXPECT_EQ(installed.status().code(), Status::Code::kCorruption);
+  EXPECT_EQ(store.Get("c").get(), before.get());
 }
 
 TEST(SerializeCorruptionTest, VerifyFailsOnBitFlip) {

@@ -7,7 +7,8 @@
 
 #include "build/builder.h"
 #include "eval/evaluator.h"
-#include "estimate/estimator.h"
+#include "estimate/flat_estimator.h"
+#include "estimate/flat_synopsis.h"
 #include "query/parser.h"
 #include "synopsis/reference.h"
 
@@ -97,7 +98,8 @@ TEST(TreebankTest, ReferenceEstimatesRecursiveDescendantsExactly) {
   ref_options.value_paths = dataset.value_paths;
   GraphSynopsis reference = BuildReferenceSynopsis(dataset.doc, ref_options);
   ExactEvaluator evaluator(dataset.doc, reference.term_dictionary().get());
-  XClusterEstimator estimator(reference);
+  const FlatSynopsis flat(reference);
+  const FlatEstimator estimator(flat);
   const char* queries[] = {
       "//NP",
       "//NP//NP",
@@ -129,7 +131,8 @@ TEST(TreebankTest, MergedSynopsisHandlesCyclesGracefully) {
   GraphSynopsis merged = XClusterBuild(reference, build, nullptr);
 
   ExactEvaluator evaluator(dataset.doc, reference.term_dictionary().get());
-  XClusterEstimator estimator(merged);
+  const FlatSynopsis flat(merged);
+  const FlatEstimator estimator(flat);
   for (const char* text : {"//NP", "//NP//NN", "//S//VP"}) {
     Result<TwigQuery> query = ParseTwig(text);
     ASSERT_TRUE(query.ok());

@@ -5,7 +5,8 @@
 #include <fstream>
 
 #include "data/xmark.h"
-#include "estimate/estimator.h"
+#include "estimate/flat_estimator.h"
+#include "estimate/flat_synopsis.h"
 #include "synopsis/reference.h"
 #include "workload/metrics.h"
 
@@ -51,7 +52,8 @@ TEST_F(WorkloadIoTest, LoadedWorkloadEstimatesIdentically) {
   ASSERT_TRUE(SaveWorkload(workload_, path_).ok());
   Result<Workload> loaded = LoadWorkload(path_);
   ASSERT_TRUE(loaded.ok());
-  XClusterEstimator estimator(reference_);
+  const FlatSynopsis flat(reference_);
+  const FlatEstimator estimator(flat);
   for (size_t i = 0; i < workload_.queries.size(); ++i) {
     double a = estimator.Estimate(workload_.queries[i].query);
     double b = estimator.Estimate(loaded.value().queries[i].query);

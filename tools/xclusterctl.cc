@@ -13,8 +13,9 @@
 //
 //   xclusterctl estimate --synopsis synopsis.xcs --query "//a[range(1,9)]/b"
 //   xclusterctl estimate --synopsis synopsis.xcs --queries queries.txt
-//       Loads a synopsis and prints the estimated selectivity of a twig
-//       query (see query/parser.h for the syntax). With --queries, the
+//       Loads a synopsis (.xcs or .xcsf) and prints the estimated
+//       selectivity of a twig query (see query/parser.h for the syntax);
+//       --explain adds the per-variable breakdown. With --queries, the
 //       synopsis is loaded once into a SynopsisStore and every line of the
 //       file is estimated against the shared snapshot, reporting per-query
 //       latency; --workers N fans the batch across a thread pool.
@@ -124,12 +125,10 @@
 #include "core/xcluster.h"
 #include "data/imdb.h"
 #include "data/xmark.h"
-#include "estimate/estimator.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/socket.h"
 #include "query/parser.h"
-#include "estimate/compiled_twig.h"
 #include "estimate/flat_estimator.h"
 #include "estimate/flat_synopsis.h"
 #include "service/harness.h"
@@ -366,6 +365,25 @@ int EstimateFile(const std::string& synopsis_path,
   return rc;
 }
 
+/// Opens a synopsis file of either format as the FlatSynopsis every
+/// estimate runs on: `.xcsf` images are mmapped (validated, never
+/// parsed), anything else goes through XCluster::Load (CRC-verified
+/// decode, then compile). The returned pointer pins whatever backs it.
+Result<std::shared_ptr<const FlatSynopsis>> OpenFlatSynopsis(
+    const std::string& path) {
+  if (storage::SniffXcsfFile(path)) {
+    Result<storage::XcsfMmapView> view = storage::XcsfMmapView::Open(path);
+    if (!view.ok()) return view.status();
+    auto owner =
+        std::make_shared<const storage::XcsfMmapView>(std::move(view).value());
+    return std::shared_ptr<const FlatSynopsis>(owner, &owner->flat());
+  }
+  Result<XCluster> loaded = XCluster::Load(path);
+  if (!loaded.ok()) return loaded.status();
+  auto owner = std::make_shared<const XCluster>(std::move(loaded).value());
+  return std::shared_ptr<const FlatSynopsis>(owner, &owner->flat());
+}
+
 int Estimate(const Args& args) {
   const std::string path = args.Get("synopsis");
   const std::string query = args.Get("query");
@@ -378,38 +396,17 @@ int Estimate(const Args& args) {
                         static_cast<size_t>(args.GetInt("workers", 0)),
                         args.Has("explain"));
   }
-  if (storage::SniffXcsfFile(path)) {
-    // Mapped image: estimate through the flat path (the only path a
-    // mapped synopsis has — and it is bit-identical to the graph one).
-    Result<storage::XcsfMmapView> view = storage::XcsfMmapView::Open(path);
-    if (!view.ok()) return Fail("load: " + view.status().ToString());
-    if (args.Has("explain")) {
-      return Fail(
-          "explain needs the synopsis graph; run it against the .xcs");
-    }
-    Result<TwigQuery> parsed = ParseTwig(query);
-    if (!parsed.ok()) return Fail("query: " + parsed.status().ToString());
-    const FlatSynopsis& flat = view.value().flat();
-    const CompiledTwig plan = CompiledTwig::Compile(parsed.value(), flat);
-    FlatEstimator estimator(flat);
-    std::printf("%.6g\n", estimator.Estimate(plan));
-    return 0;
-  }
-  Result<XCluster> synopsis = XCluster::Load(path);
-  if (!synopsis.ok()) return Fail("load: " + synopsis.status().ToString());
-  Result<double> estimate = synopsis.value().EstimateSelectivity(query);
-  if (!estimate.ok()) {
-    return Fail("query: " + estimate.status().ToString());
-  }
+  Result<std::shared_ptr<const FlatSynopsis>> flat = OpenFlatSynopsis(path);
+  if (!flat.ok()) return Fail("load: " + flat.status().ToString());
+  Result<TwigQuery> parsed = ParseTwig(query);
+  if (!parsed.ok()) return Fail("query: " + parsed.status().ToString());
+  const FlatEstimator estimator(*flat.value());
   if (args.Has("explain")) {
     // The EXPLAIN rendering leads with the estimate, then the per-variable
     // VarStats table (expected bindings and predicate selectivity).
-    Result<TwigQuery> parsed = ParseTwig(query);
-    if (!parsed.ok()) return Fail("query: " + parsed.status().ToString());
-    XClusterEstimator estimator(synopsis.value().synopsis());
     std::printf("%s", estimator.Explain(parsed.value()).ToString().c_str());
   } else {
-    std::printf("%.6g\n", estimate.value());
+    std::printf("%.6g\n", estimator.Estimate(parsed.value()));
   }
   return 0;
 }
@@ -993,8 +990,7 @@ int Compile(const Args& args) {
   }
   Result<XCluster> loaded = XCluster::Load(in);
   if (!loaded.ok()) return Fail("load: " + loaded.status().ToString());
-  FlatSynopsis flat(loaded.value().synopsis());
-  Status status = storage::XcsfWriter::Write(flat, out);
+  Status status = storage::XcsfWriter::Write(loaded.value().flat(), out);
   if (!status.ok()) return Fail(status.ToString());
   // Re-open through the real mmap path: proves the image round-trips
   // before anyone serves from it, and reports the on-disk size.
@@ -1117,12 +1113,13 @@ int Evaluate(const Args& args) {
   if (synopsis_path.empty() || workload_path.empty()) {
     return Fail("evaluate requires --synopsis and --workload");
   }
-  Result<XCluster> synopsis = XCluster::Load(synopsis_path);
-  if (!synopsis.ok()) return Fail("load: " + synopsis.status().ToString());
+  Result<std::shared_ptr<const FlatSynopsis>> flat =
+      OpenFlatSynopsis(synopsis_path);
+  if (!flat.ok()) return Fail("load: " + flat.status().ToString());
   Result<Workload> workload = LoadWorkload(workload_path);
   if (!workload.ok()) return Fail("workload: " + workload.status().ToString());
 
-  XClusterEstimator estimator(synopsis.value().synopsis());
+  const FlatEstimator estimator(*flat.value());
   std::vector<double> estimates;
   estimates.reserve(workload.value().queries.size());
   for (const WorkloadQuery& query : workload.value().queries) {
@@ -1169,8 +1166,9 @@ int Usage() {
       "           [--verbose]\n"
       "  compile  --in f.xcs --out f.xcsf   (flat mmap image: zero-copy,\n"
       "           O(1) cold-start serving; see docs/FORMAT.md)\n"
-      "  estimate --synopsis f.xcs --query \"//a[range(1,9)]/b\" [--explain]\n"
-      "           (or --queries f.txt [--workers N] for a shared-load batch)\n"
+      "  estimate --synopsis f.xcs|f.xcsf --query \"//a[range(1,9)]/b\"\n"
+      "           [--explain]  (or --queries f.txt [--workers N] for a\n"
+      "           shared-load batch)\n"
       "  serve    --stdin [--workers N] [--queue N]\n"
       "           [--preload name=f.xcs|f.xcsf] [--xcsf-spool DIR]\n"
       "           [--reach-cache-capacity N] [--plan-cache-capacity N]\n"
@@ -1200,7 +1198,7 @@ int Usage() {
       "  inspect  --synopsis f.xcs|f.xcsf [--detail] [--dump]\n"
       "  workload --dataset imdb|xmark [--scale S] [--seed N]\n"
       "           [--queries N] [--negative] --out f.tsv\n"
-      "  evaluate --synopsis f.xcs --workload f.tsv\n"
+      "  evaluate --synopsis f.xcs|f.xcsf --workload f.tsv\n"
       "  verify   --synopsis f.xcs|f.xcsf [--quiet]\n"
       "  stats    [--in metrics.json] [--format text|json|prom]\n"
       "global flags (any command):\n"
