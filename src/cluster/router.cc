@@ -8,7 +8,6 @@
 
 #include "cluster/hash_ring.h"
 #include "cluster/merge.h"
-#include "common/io/crc32c.h"
 #include "common/io/file_io.h"
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/telemetry.h"
@@ -801,83 +800,27 @@ void Router::HandleInstallChunk(uint64_t conn_id, uint32_t version,
     PostError(conn_id, decoded.status().ToString());
     return;
   }
-  net::InstallFrame install = std::move(decoded).value();
-  InstallState& state = installs_[conn_id];
-  if (state.name.empty()) {
-    if (install.chunk_index != 0) {
-      installs_.erase(conn_id);
-      PostError(conn_id, "install chunk " +
-                             std::to_string(install.chunk_index) + " of " +
-                             install.name + " without a first chunk");
-      return;
-    }
-    if (install.total_bytes >
-        static_cast<uint64_t>(install.chunk_count) *
-            options_.server.max_frame_bytes) {
-      installs_.erase(conn_id);
-      PostError(conn_id, "install of " + install.name + " declares " +
-                             std::to_string(install.total_bytes) +
-                             " bytes, more than its chunks can carry");
-      return;
-    }
-    if (install.total_bytes > options_.server.max_install_bytes) {
-      installs_.erase(conn_id);
-      PostError(conn_id,
-                "install of " + install.name + " declares " +
-                    std::to_string(install.total_bytes) +
-                    " bytes, above the " +
-                    std::to_string(options_.server.max_install_bytes) +
-                    "-byte install cap");
-      return;
-    }
-    state.name = install.name;
-    state.generation = install.generation;
-    state.total_bytes = install.total_bytes;
-    state.chunk_count = install.chunk_count;
-    state.snapshot_crc = install.snapshot_crc;
-    state.next_chunk = 0;
-    // No upfront reserve: total_bytes is peer-declared; the buffer grows
-    // only with bytes actually received, bounded by the overflow check.
-  } else if (install.name != state.name ||
-             install.generation != state.generation ||
-             install.total_bytes != state.total_bytes ||
-             install.chunk_count != state.chunk_count ||
-             install.snapshot_crc != state.snapshot_crc ||
-             install.chunk_index != state.next_chunk) {
+  net::InstallAssembler& install = installs_[conn_id];
+  Status added = install.Add(
+      std::move(decoded).value(),
+      {options_.server.max_frame_bytes, options_.server.max_install_bytes});
+  if (!added.ok()) {
     installs_.erase(conn_id);
-    PostError(conn_id,
-              "install chunk sequence violation for " + install.name);
+    PostError(conn_id, added.message());
     return;
   }
-  if (state.buffer.size() + install.chunk.size() > state.total_bytes) {
-    installs_.erase(conn_id);
-    PostError(conn_id, "install chunks for " + install.name +
-                           " overflow the declared snapshot size");
-    return;
-  }
-  state.buffer.append(install.chunk);
-  state.next_chunk++;
-  if (state.next_chunk < state.chunk_count) return;
+  if (!install.complete()) return;
 
-  InstallState completed = std::move(state);
+  net::AssembledInstall completed;
+  Status verified = install.Finish(&completed);
   installs_.erase(conn_id);
-  if (completed.buffer.size() != completed.total_bytes) {
-    PostError(conn_id, "install of " + completed.name + " reassembled " +
-                           std::to_string(completed.buffer.size()) +
-                           " bytes, expected " +
-                           std::to_string(completed.total_bytes));
-    return;
-  }
-  if (crc32c::Mask(crc32c::Value(completed.buffer.data(),
-                                 completed.buffer.size())) !=
-      completed.snapshot_crc) {
-    PostError(conn_id,
-              "install of " + completed.name + " failed snapshot checksum");
+  if (!verified.ok()) {
+    PostError(conn_id, verified.message());
     return;
   }
   Status submitted = pool_->Submit(
       [this, conn_id, name = std::move(completed.name),
-       bytes = std::move(completed.buffer),
+       bytes = std::move(completed.bytes),
        pinned = completed.generation](const Executor::TaskContext& context) {
         if (context.cancelled) return;
         net::InstallReplyFrame outcome = ReplicateBytes(name, bytes, pinned);

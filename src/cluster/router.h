@@ -95,17 +95,6 @@ class Router : public net::FrameHandler {
   void OnDisconnect(uint64_t conn_id) override;
 
  private:
-  /// Per-connection kInstall reassembly (event-loop thread only).
-  struct InstallState {
-    std::string name;
-    uint64_t generation = 0;
-    uint64_t total_bytes = 0;
-    uint32_t chunk_count = 0;
-    uint32_t next_chunk = 0;
-    uint32_t snapshot_crc = 0;
-    std::string buffer;
-  };
-
   void Post(uint64_t conn_id, net::FrameType type, std::string payload,
             bool close = false);
   void PostError(uint64_t conn_id, const std::string& message);
@@ -172,7 +161,8 @@ class Router : public net::FrameHandler {
   std::mutex generation_mu_;
   uint64_t generation_counter_ = 0;
 
-  std::unordered_map<uint64_t, InstallState> installs_;  // loop thread only
+  /// Per-connection kInstall reassembly (event-loop thread only).
+  std::unordered_map<uint64_t, net::InstallAssembler> installs_;
 };
 
 }  // namespace cluster

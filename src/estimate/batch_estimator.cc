@@ -55,7 +55,6 @@ BatchPlan BatchPlan::Build(const std::vector<const CompiledTwig*>& plans) {
 
 void BatchEstimator::EstimateGroup(const FlatEstimator& estimator,
                                    const BatchPlan::Group& group,
-                                   BatchReachTier* tier,
                                    std::vector<double>* lane_estimates) {
   const size_t L = group.plans.size();
   lane_estimates->assign(L, 0.0);
@@ -79,7 +78,6 @@ void BatchEstimator::EstimateGroup(const FlatEstimator& estimator,
 
   const uint32_t num_vars = static_cast<uint32_t>(skeleton.size());
   const uint32_t n = synopsis.num_nodes();
-  ReachCache::Value scratch;
 
   // --- Structure pass (lane-independent) -------------------------------
   // active[v]: ascending node ids the embedding DP can bind to variable v
@@ -99,27 +97,9 @@ void BatchEstimator::EstimateGroup(const FlatEstimator& estimator,
       const CompiledVar& step = skeleton.var(child);
       std::vector<FlatNodeId>& targets = active[child];
       for (const FlatNodeId node : nodes) {
-        if (step.axis == TwigStep::Axis::kChild) {
-          if (step.wildcard) {
-            const size_t end = synopsis.edges_end(node);
-            for (size_t e = synopsis.edges_begin(node); e < end; ++e) {
-              targets.push_back(synopsis.edge_target(e));
-            }
-          } else {
-            size_t begin = 0, end = 0;
-            synopsis.LabelRun(node, step.label, &begin, &end);
-            for (size_t e = begin; e < end; ++e) {
-              targets.push_back(synopsis.sorted_edge_target(e));
-            }
-          }
-        } else {
-          const ReachCache::Value* reach =
-              estimator.DescendantReach(node, step, tier, &scratch);
-          if (reach == nullptr) continue;
-          for (const auto& entry : *reach) {
-            targets.push_back(entry.first);
-          }
-        }
+        estimator.ForEachReach(node, step, [&](FlatNodeId target, double) {
+          targets.push_back(target);
+        });
       }
     }
   }
@@ -161,29 +141,7 @@ void BatchEstimator::EstimateGroup(const FlatEstimator& estimator,
             sums[l] += count * child_row[l];
           }
         };
-        if (step.axis == TwigStep::Axis::kChild) {
-          if (step.wildcard) {
-            const size_t end = synopsis.edges_end(node);
-            for (size_t e = synopsis.edges_begin(node); e < end; ++e) {
-              accumulate(synopsis.edge_target(e), synopsis.edge_count(e));
-            }
-          } else {
-            size_t begin = 0, end = 0;
-            synopsis.LabelRun(node, step.label, &begin, &end);
-            for (size_t e = begin; e < end; ++e) {
-              accumulate(synopsis.sorted_edge_target(e),
-                         synopsis.sorted_edge_count(e));
-            }
-          }
-        } else {
-          const ReachCache::Value* reach =
-              estimator.DescendantReach(node, step, tier, &scratch);
-          if (reach != nullptr) {
-            for (const auto& [target, count] : *reach) {
-              accumulate(target, count);
-            }
-          }
-        }
+        estimator.ForEachReach(node, step, accumulate);
         // The scalar path breaks out once result hits 0.0; multiplying
         // the exact 0.0 through the remaining finite non-negative sums
         // yields the same 0.0, so the lane kernel stays branch-free.

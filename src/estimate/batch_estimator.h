@@ -7,7 +7,6 @@
 
 #include "estimate/compiled_twig.h"
 #include "estimate/flat_estimator.h"
-#include "estimate/reach_cache.h"
 
 namespace xcluster {
 
@@ -19,10 +18,10 @@ namespace xcluster {
 /// label runs, descendant-reach expansion) once per group, per-query work
 /// reduced to flat `double` lane operations.
 ///
-/// Slots that repeat the *same plan object* (duplicate queries served by
-/// one plan-cache entry) collapse onto a single lane; their results are
-/// copies of one double, which is exactly what N scalar calls would have
-/// produced.
+/// Slots that repeat the *same plan object* (EstimationService resolves
+/// every spelling of one normalized query text in a batch to one plan)
+/// collapse onto a single lane; their results are copies of one double,
+/// which is exactly what N scalar calls would have produced.
 class BatchPlan {
  public:
   struct Group {
@@ -62,10 +61,10 @@ class BatchPlan {
 /// Algorithm per group (V = skeleton variables, L = lanes):
 ///  1. Structure pass (lane-independent): starting from (var 0, root),
 ///     expand each variable's reach through the shared skeleton to find
-///     the active node set per variable. Child-axis reach iterates the
-///     CSR edge view / label runs directly; descendant-axis reach goes
-///     through FlatEstimator::DescendantReach, which shares results
-///     batch-wide via the BatchReachTier and cross-batch via ReachCache.
+///     the active node set per variable, through the scalar path's own
+///     reach walk (FlatEstimator::ForEachReach): CSR edge view / label
+///     runs for child steps, shared ReachCache vectors for descendant
+///     steps.
 ///  2. Lane pass (bottom-up over variables): for each active (var, node),
 ///     per-lane predicate selectivities, then for each skeleton child one
 ///     edge walk accumulating `sum[l] += count * child_row[l]` across all
@@ -83,19 +82,19 @@ class BatchPlan {
 /// bench_service.
 ///
 /// Thread safety: EstimateGroup only reads the estimator/synopsis and
-/// goes through the internally synchronized ReachCache/BatchReachTier, so
-/// a batch's groups may run on any number of executor workers
-/// concurrently with identical results.
+/// goes through the internally synchronized ReachCache, so a batch's
+/// groups may run on any number of executor workers concurrently with
+/// identical results. A reach vector evicted between the two passes is
+/// recomputed to the identical value, so both passes see the same
+/// targets in the same order.
 class BatchEstimator {
  public:
   /// Evaluates `group` against `estimator`'s synopsis, writing one
   /// estimate per lane into `lane_estimates` (resized to
-  /// group.num_lanes()). `tier` is the batch-wide reach sharing map; one
-  /// tier serves all groups of a batch. A one-lane group skips the lane
-  /// kernel and returns FlatEstimator::Estimate directly.
+  /// group.num_lanes()). A one-lane group skips the lane kernel and
+  /// returns FlatEstimator::Estimate directly.
   static void EstimateGroup(const FlatEstimator& estimator,
                             const BatchPlan::Group& group,
-                            BatchReachTier* tier,
                             std::vector<double>* lane_estimates);
 };
 

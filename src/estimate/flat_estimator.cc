@@ -52,45 +52,11 @@ FlatEstimator::FlatEstimator(const FlatSynopsis& synopsis,
                              EstimateOptions options)
     : synopsis_(synopsis),
       options_(options),
-      reach_cache_(ReachCache::Options{options.reach_cache_capacity,
-                                       options.reach_cache_shards}) {}
-
-void FlatEstimator::Reach(
-    FlatNodeId source, const CompiledVar& var,
-    std::vector<std::pair<uint32_t, double>>* out) const {
-  if (var.axis == TwigStep::Axis::kChild) {
-    if (var.wildcard) {
-      const size_t end = synopsis_.edges_end(source);
-      for (size_t e = synopsis_.edges_begin(source); e < end; ++e) {
-        out->push_back({synopsis_.edge_target(e), synopsis_.edge_count(e)});
-      }
-    } else {
-      size_t begin = 0, end = 0;
-      synopsis_.LabelRun(source, var.label, &begin, &end);
-      for (size_t e = begin; e < end; ++e) {
-        out->push_back(
-            {synopsis_.sorted_edge_target(e), synopsis_.sorted_edge_count(e)});
-      }
-    }
-    return;
-  }
-
-  // Descendant axis. Unknown (never-interned) labels match nothing and
-  // must not be cached: their kInvalidSymbol slot would collide with the
-  // wildcard key.
-  if (!var.wildcard && var.label == kInvalidSymbol) return;
-  const uint64_t key = ReachCache::Key(source, var.label);
-  if (reach_cache_.Lookup(key, out)) return;
-
-  ReachCache::Value result;
-  ComputeDescendantReach(source, var, &result);
-  out->insert(out->end(), result.begin(), result.end());
-  reach_cache_.Insert(key, std::move(result));
-}
+      reach_cache_(ReachCache::Options{options.reach_cache_capacity}) {}
 
 void FlatEstimator::ComputeDescendantReach(FlatNodeId source,
                                            const CompiledVar& var,
-                                           ReachCache::Value* result) const {
+                                           ReachVector* result) const {
   // Bounded-hop dense DP over the CSR adjacency. Sources are drained in
   // ascending flat id and children in stored order, so every accumulated
   // double is a deterministic function of (source, label).
@@ -145,24 +111,6 @@ void FlatEstimator::ComputeDescendantReach(FlatNodeId source,
   }
 }
 
-const ReachCache::Value* FlatEstimator::DescendantReach(
-    FlatNodeId source, const CompiledVar& var, BatchReachTier* tier,
-    ReachCache::Value* scratch) const {
-  // Unknown labels match nothing and (as in Reach) must not be cached:
-  // their kInvalidSymbol slot would collide with the wildcard key.
-  if (!var.wildcard && var.label == kInvalidSymbol) return nullptr;
-  const uint64_t key = ReachCache::Key(source, var.label);
-  if (const ReachCache::Value* shared = tier->Lookup(key)) return shared;
-  scratch->clear();
-  if (reach_cache_.Lookup(key, scratch)) {
-    return tier->Insert(key, std::move(*scratch));
-  }
-  scratch->clear();
-  ComputeDescendantReach(source, var, scratch);
-  reach_cache_.Insert(key, *scratch);
-  return tier->Insert(key, std::move(*scratch));
-}
-
 double FlatEstimator::PredicateSelectivity(const CompiledTwig& plan,
                                            uint32_t var,
                                            FlatNodeId node) const {
@@ -189,12 +137,10 @@ double FlatEstimator::TuplesPerElement(const CompiledTwig& plan, uint32_t var,
   double result = PredicateSelectivity(plan, var, node);
   if (result > 0.0) {
     for (const uint32_t child : plan.var(var).children) {
-      std::vector<std::pair<uint32_t, double>> targets;
-      Reach(node, plan.var(child), &targets);
       double sum = 0.0;
-      for (const auto& [target, count] : targets) {
+      ForEachReach(node, plan.var(child), [&](uint32_t target, double count) {
         sum += count * TuplesPerElement(plan, child, target, memo);
-      }
+      });
       result *= sum;
       if (result == 0.0) break;
     }
@@ -258,12 +204,11 @@ EstimateExplanation FlatEstimator::Explain(const CompiledTwig& plan) const {
         const double sigma = PredicateSelectivity(plan, var, node);
         const double amount = row[node] * sigma;
         if (amount <= 0.0) continue;
-        std::vector<std::pair<uint32_t, double>> targets;
-        Reach(node, plan.var(child), &targets);
-        for (const auto& [target, count] : targets) {
+        ForEachReach(node, plan.var(child), [&](uint32_t target,
+                                                double count) {
           child_row[target] += amount * count;
           touched[child].push_back(target);
-        }
+        });
       }
     }
   }

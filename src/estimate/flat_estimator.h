@@ -3,7 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "estimate/compiled_twig.h"
@@ -33,10 +35,9 @@ struct EstimateOptions {
   /// instead. Type-incompatible predicates always estimate 0.
   double default_selectivity = 0.0;
 
-  /// Entry bound for the descendant reach cache (see ReachCache), a
-  /// sharded LRU with this capacity. 0 disables caching.
+  /// Entry bound for the descendant reach cache (see ReachCache). 0
+  /// disables caching.
   size_t reach_cache_capacity = 1 << 16;
-  size_t reach_cache_shards = 8;
 };
 
 /// True if a predicate of this kind can hold on values of `type` at all
@@ -68,8 +69,9 @@ struct EstimateExplanation {
 /// of the query into the synopsis graph, the product of edge reach-counts
 /// and predicate selectivities — computed in factored form by dynamic
 /// programming over query variables, with dense `double` memo tables
-/// indexed by (variable, flat node id) and the descendant reach memo in a
-/// shared bounded LRU (ReachCache).
+/// indexed by (variable, flat node id), and the descendant reach memo in
+/// a bounded LRU of shared immutable vectors (ReachCache). Every step's
+/// reach goes through one walk, ForEachReach.
 ///
 /// Summation order: the descendant DP sums sources in ascending flat id
 /// and children in stored order, labeled child steps walk the
@@ -81,9 +83,10 @@ struct EstimateExplanation {
 /// generators.
 ///
 /// Thread safety: any number of concurrent Estimate/Explain calls; the
-/// reach cache stores pure values first-writer-wins, and eviction only
-/// ever forces recomputation of an identical value, so results are
-/// deterministic under any interleaving.
+/// reach cache stores pure values first-writer-wins, a reader keeps the
+/// vector it holds alive past eviction, and eviction only ever forces
+/// recomputation of an identical value, so results are deterministic
+/// under any interleaving.
 class FlatEstimator {
  public:
   /// `synopsis` must outlive the estimator.
@@ -120,19 +123,46 @@ class FlatEstimator {
   double PredicateSelectivity(const CompiledTwig& plan, uint32_t var,
                               FlatNodeId node) const;
 
-  /// Descendant-axis reach of `var` from `source` as a stable shared
-  /// vector, for the batch lane engine. Consults `tier` (the batch-local
-  /// sharing map) first, then the cross-batch ReachCache, and only then
-  /// runs the bounded-hop DP — publishing the result to both tiers. The
-  /// returned pointer lives as long as `tier`; nullptr means the reach is
-  /// empty because `var` names a label the synopsis never interned.
-  /// `scratch` is caller-owned staging (cleared here) so group loops
-  /// reuse one allocation instead of building a vector per probe.
-  /// Requires var.axis == kDescendant.
-  const ReachCache::Value* DescendantReach(FlatNodeId source,
-                                           const CompiledVar& var,
-                                           BatchReachTier* tier,
-                                           ReachCache::Value* scratch) const;
+  /// Calls `fn(target, count)` for every synopsis node `var`'s step
+  /// reaches from `source`, with the expected number of targets per
+  /// source element — the one reach walk the scalar DP, Explain and the
+  /// batch lane engine all share. Child steps walk the CSR range
+  /// (wildcard) or the node's label run; descendant steps read the shared
+  /// vector of the ReachCache, computing and publishing it on a miss. The
+  /// order is fixed (CSR order, label-run order, ascending descendant
+  /// targets), which is what keeps every summed double deterministic.
+  /// No lock is held while `fn` runs, so it may recurse into the walk.
+  template <class Fn>
+  void ForEachReach(FlatNodeId source, const CompiledVar& var,
+                    Fn&& fn) const {
+    if (var.axis == TwigStep::Axis::kChild) {
+      if (var.wildcard) {
+        const size_t end = synopsis_.edges_end(source);
+        for (size_t e = synopsis_.edges_begin(source); e < end; ++e) {
+          fn(synopsis_.edge_target(e), synopsis_.edge_count(e));
+        }
+      } else {
+        size_t begin = 0, end = 0;
+        synopsis_.LabelRun(source, var.label, &begin, &end);
+        for (size_t e = begin; e < end; ++e) {
+          fn(synopsis_.sorted_edge_target(e), synopsis_.sorted_edge_count(e));
+        }
+      }
+      return;
+    }
+    // Descendant axis. Unknown (never-interned) labels match nothing and
+    // must not be cached: their kInvalidSymbol slot would collide with the
+    // wildcard key.
+    if (!var.wildcard && var.label == kInvalidSymbol) return;
+    const uint64_t key = ReachCache::Key(source, var.label);
+    std::shared_ptr<const ReachVector> reach = reach_cache_.Get(key);
+    if (reach == nullptr) {
+      auto computed = std::make_shared<ReachVector>();
+      ComputeDescendantReach(source, var, computed.get());
+      reach = reach_cache_.Put(key, std::move(computed));
+    }
+    for (const auto& [target, count] : *reach) fn(target, count);
+  }
 
   const FlatSynopsis& synopsis() const { return synopsis_; }
   const ReachCache& reach_cache() const { return reach_cache_; }
@@ -140,19 +170,17 @@ class FlatEstimator {
  private:
   double TuplesPerElement(const CompiledTwig& plan, uint32_t var,
                           FlatNodeId node, double* memo) const;
-  void Reach(FlatNodeId source, const CompiledVar& var,
-             std::vector<std::pair<uint32_t, double>>* out) const;
   /// The bounded-hop descendant DP itself (no cache consultation):
   /// appends (target, mass) pairs in ascending target order.
   void ComputeDescendantReach(FlatNodeId source, const CompiledVar& var,
-                              ReachCache::Value* result) const;
+                              ReachVector* result) const;
   bool LabelMatches(FlatNodeId node, const CompiledVar& var) const {
     return var.wildcard || synopsis_.label(node) == var.label;
   }
 
   const FlatSynopsis& synopsis_;
   EstimateOptions options_;
-  mutable ReachCache reach_cache_;
+  ReachCache reach_cache_;
 };
 
 }  // namespace xcluster

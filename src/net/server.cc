@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/io/crc32c.h"
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/telemetry.h"
 #include "net/protocol.h"
@@ -342,86 +341,25 @@ void NetServer::HandleInstall(Connection* conn, Frame&& frame) {
     SendError(conn, decoded.status().ToString());
     return;
   }
-  InstallFrame install = std::move(decoded).value();
-  auto reset_install = [conn] {
-    conn->install_name.clear();
-    conn->install_buffer.clear();
-    conn->install_buffer.shrink_to_fit();
-  };
-  if (conn->install_name.empty()) {
-    if (install.chunk_index != 0) {
-      SendError(conn, "install chunk " + std::to_string(install.chunk_index) +
-                          " of " + install.name + " without a first chunk");
-      return;
-    }
-    // Each chunk travels in its own frame, so a consistent snapshot can
-    // never need more than chunk_count frame payloads.
-    if (install.total_bytes >
-        static_cast<uint64_t>(install.chunk_count) * options_.max_frame_bytes) {
-      SendError(conn, "install of " + install.name + " declares " +
-                          std::to_string(install.total_bytes) +
-                          " bytes, more than its chunks can carry");
-      return;
-    }
-    if (install.total_bytes > options_.max_install_bytes) {
-      SendError(conn, "install of " + install.name + " declares " +
-                          std::to_string(install.total_bytes) +
-                          " bytes, above the " +
-                          std::to_string(options_.max_install_bytes) +
-                          "-byte install cap");
-      return;
-    }
-    conn->install_name = install.name;
-    conn->install_generation = install.generation;
-    conn->install_total_bytes = install.total_bytes;
-    conn->install_chunk_count = install.chunk_count;
-    conn->install_crc = install.snapshot_crc;
-    conn->install_next_chunk = 0;
-    // No upfront reserve: total_bytes is peer-declared, so the buffer only
-    // grows with bytes actually received (the overflow check above each
-    // append bounds it by total_bytes, itself bounded by the cap).
-    conn->install_buffer.clear();
-  } else if (install.name != conn->install_name ||
-             install.generation != conn->install_generation ||
-             install.total_bytes != conn->install_total_bytes ||
-             install.chunk_count != conn->install_chunk_count ||
-             install.snapshot_crc != conn->install_crc ||
-             install.chunk_index != conn->install_next_chunk) {
-    reset_install();
-    SendError(conn, "install chunk sequence violation for " + install.name);
+  Status added = conn->install.Add(
+      std::move(decoded).value(),
+      {options_.max_frame_bytes, options_.max_install_bytes});
+  if (!added.ok()) {
+    SendError(conn, added.message());
     return;
   }
-  if (conn->install_buffer.size() + install.chunk.size() >
-      conn->install_total_bytes) {
-    reset_install();
-    SendError(conn, "install chunks for " + install.name +
-                        " overflow the declared snapshot size");
-    return;
-  }
-  conn->install_buffer.append(install.chunk);
-  conn->install_next_chunk++;
   XCLUSTER_COUNTER_INC("net.install.chunks");
-  if (conn->install_next_chunk < conn->install_chunk_count) return;
+  if (!conn->install.complete()) return;
 
-  // Final chunk: verify the whole-snapshot checksum before decoding, so a
-  // chunking bug or in-flight corruption is named as such rather than as
-  // an XCSB parse error.
   InstallReplyFrame reply;
-  if (conn->install_buffer.size() != conn->install_total_bytes) {
-    reply.message = "install of " + conn->install_name + " reassembled " +
-                    std::to_string(conn->install_buffer.size()) +
-                    " bytes, expected " +
-                    std::to_string(conn->install_total_bytes);
-  } else if (crc32c::Mask(crc32c::Value(conn->install_buffer.data(),
-                                        conn->install_buffer.size())) !=
-             conn->install_crc) {
-    reply.message =
-        "install of " + conn->install_name + " failed snapshot checksum";
+  AssembledInstall snapshot;
+  Status verified = conn->install.Finish(&snapshot);
+  if (!verified.ok()) {
+    reply.message = verified.message();
   } else {
     Result<std::shared_ptr<const StoredSynopsis>> installed =
-        service_->store().InstallFromWire(conn->install_name,
-                                          conn->install_buffer, conn->peer,
-                                          conn->install_generation);
+        service_->store().InstallFromWire(snapshot.name, snapshot.bytes,
+                                          conn->peer, snapshot.generation);
     if (installed.ok()) {
       reply.ok = true;
       reply.generation = installed.value()->generation();
@@ -431,7 +369,6 @@ void NetServer::HandleInstall(Connection* conn, Frame&& frame) {
     }
   }
   if (!reply.ok) XCLUSTER_COUNTER_INC("net.install.failed");
-  reset_install();
   SendFrame(conn, FrameType::kInstallReply, EncodeInstallReply(reply));
 }
 

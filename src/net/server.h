@@ -12,6 +12,7 @@
 
 #include "common/status.h"
 #include "net/frame.h"
+#include "net/install_assembler.h"
 #include "net/socket.h"
 #include "service/harness.h"
 #include "service/service.h"
@@ -181,16 +182,9 @@ class NetServer {
     uint64_t id = 0;       ///< stable handle for PostFrames/FrameHandler
     std::string peer;      ///< remote address "host:port" (best effort)
 
-    /// In-progress chunked kInstall reassembly (v4+). `install_name` is
-    /// empty between installs; chunks must arrive in order on the one
-    /// connection.
-    std::string install_name;
-    uint64_t install_generation = 0;
-    uint64_t install_total_bytes = 0;
-    uint32_t install_chunk_count = 0;
-    uint32_t install_next_chunk = 0;
-    uint32_t install_crc = 0;
-    std::string install_buffer;
+    /// In-progress chunked kInstall reassembly (v4+); chunks must arrive
+    /// in order on the one connection.
+    InstallAssembler install;
   };
 
   /// Completed work queued from other threads (router pool completions),

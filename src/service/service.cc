@@ -5,6 +5,8 @@
 #include <condition_variable>
 #include <fstream>
 #include <mutex>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "common/json.h"
@@ -17,22 +19,35 @@ namespace xcluster {
 
 namespace {
 
+/// Plans compiled while resolving one batch, by normalized query text (a
+/// view into the batch's own query strings).
+using BatchPlans =
+    std::unordered_map<std::string_view, std::shared_ptr<const CompiledTwig>>;
+
 /// Resolves `query` to a compiled plan through the shared plan cache. The
 /// cache is consulted under (snapshot generation, normalized text); on a
 /// miss the query is parsed and compiled against the snapshot's
 /// FlatSynopsis, then published for every later repeat — warm queries skip
 /// parse, label resolution, and term resolution entirely. Returns nullptr
 /// with `*status` carrying the parse error when the query is malformed.
+/// With `batch`, plans compiled earlier in the same batch are reused on a
+/// plan-cache miss.
 std::shared_ptr<const CompiledTwig> ResolvePlan(const StoredSynopsis& snapshot,
                                                 const PlanCache& plans,
                                                 const std::string& query,
-                                                Status* status) {
-  std::string trim_storage;
-  const std::string& normalized =
-      PlanCache::NormalizeQuery(query, &trim_storage);
+                                                Status* status,
+                                                BatchPlans* batch = nullptr) {
+  const std::string_view normalized = PlanCache::NormalizeQuery(query);
   std::shared_ptr<const CompiledTwig> plan =
       plans.Get(snapshot.generation(), normalized);
   if (plan != nullptr) return plan;
+  // A plan-cache miss may still repeat a text this batch already
+  // compiled (caching disabled, or the entry evicted mid-batch): reuse
+  // that plan so the duplicate slots share one lane.
+  if (batch != nullptr) {
+    auto seen = batch->find(normalized);
+    if (seen != batch->end()) return seen->second;
+  }
   // A plan-cache miss shows up in a sampled trace as this compile span;
   // hits go straight to estimation with no span between.
   XCLUSTER_TRACE_SPAN("plan.compile");
@@ -47,6 +62,7 @@ std::shared_ptr<const CompiledTwig> ResolvePlan(const StoredSynopsis& snapshot,
   plan = std::make_shared<const CompiledTwig>(
       CompiledTwig::Compile(parsed.value(), snapshot.flat()));
   plans.Put(snapshot.generation(), normalized, plan);
+  if (batch != nullptr) batch->emplace(normalized, plan);
   return plan;
 }
 
@@ -128,8 +144,7 @@ FlightStatus ClassifyShed(const Status& admission) {
 EstimationService::EstimationService(ServiceOptions options)
     : options_(options),
       store_(options.store_shards, options.estimator),
-      plan_cache_(PlanCache::Options{options.plan_cache_capacity,
-                                     PlanCache::Options().shards}),
+      plan_cache_(PlanCache::Options{options.plan_cache_capacity}),
       flight_(options.flight_recorder_capacity) {
   if (!options_.xcsf_spool_dir.empty()) {
     store_.SetSpoolDir(options_.xcsf_spool_dir);
@@ -337,9 +352,10 @@ BatchResult EstimationService::EstimateBatch(
   {
     XCLUSTER_TRACE_SPAN("plan.batch_partition");
     std::vector<const CompiledTwig*> raw_plans(queries.size(), nullptr);
+    BatchPlans compiled;
     for (size_t i = 0; i < queries.size(); ++i) {
       batch_plans[i] = ResolvePlan(*snapshot, plan_cache_, queries[i],
-                                   &batch.results[i].status);
+                                   &batch.results[i].status, &compiled);
       if (batch_plans[i] == nullptr) {
         ++done;
       } else {
@@ -351,7 +367,6 @@ BatchResult EstimationService::EstimateBatch(
     batch.stats.vector_lanes = partition.num_lanes();
   }
   const FlatEstimator& estimator = snapshot->flat_estimator();
-  BatchReachTier reach_tier(&estimator.reach_cache());
 
   auto fail_group = [&](const BatchPlan::Group& group, const Status& status,
                         uint64_t queue_ns) {
@@ -395,8 +410,7 @@ BatchResult EstimationService::EstimateBatch(
             explanations.push_back(explanation.ToString());
           }
         } else {
-          BatchEstimator::EstimateGroup(estimator, group, &reach_tier,
-                                        &lane_estimates);
+          BatchEstimator::EstimateGroup(estimator, group, &lane_estimates);
         }
         // The group runs as one unit: per-slot latency is the group wall
         // time amortized over its slots.

@@ -19,7 +19,6 @@
 #include "estimate/compiled_twig.h"
 #include "estimate/flat_estimator.h"
 #include "estimate/flat_synopsis.h"
-#include "estimate/reach_cache.h"
 #include "query/parser.h"
 #include "service/service.h"
 #include "synopsis/graph.h"
@@ -55,7 +54,7 @@ GraphSynopsis MakeFig7() {
 }
 
 /// Cyclic synopsis (XMark parlist shape): descendant reach runs the
-/// bounded-hop DP, which is what the batch tier shares.
+/// bounded-hop DP, whose vectors every group reads from the ReachCache.
 GraphSynopsis MakeCyclic() {
   GraphSynopsis synopsis;
   SynNodeId root = synopsis.AddNode("R", ValueType::kNone, 1.0);
@@ -136,9 +135,10 @@ TEST(BatchPlanTest, DuplicatePlansCollapseOntoOneLaneAndNullsAreSkipped) {
 /// Runs `queries` as one BatchPlan and asserts each lane's estimate is
 /// bit-identical to the scalar FlatEstimator result.
 void ExpectLanesMatchScalar(const GraphSynopsis& synopsis,
-                            const std::vector<std::string>& queries) {
+                            const std::vector<std::string>& queries,
+                            EstimateOptions options = EstimateOptions()) {
   FlatSynopsis flat(synopsis);
-  FlatEstimator estimator(flat);
+  FlatEstimator estimator(flat, options);
   std::vector<CompiledTwig> storage;
   storage.reserve(queries.size());
   std::vector<const CompiledTwig*> plans;
@@ -148,14 +148,13 @@ void ExpectLanesMatchScalar(const GraphSynopsis& synopsis,
   for (const CompiledTwig& plan : storage) plans.push_back(&plan);
 
   BatchPlan partition = BatchPlan::Build(plans);
-  BatchReachTier tier(&estimator.reach_cache());
   std::vector<double> scalar(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     scalar[i] = estimator.Estimate(*plans[i]);
   }
   std::vector<double> lanes;
   for (const BatchPlan::Group& group : partition.groups()) {
-    BatchEstimator::EstimateGroup(estimator, group, &tier, &lanes);
+    BatchEstimator::EstimateGroup(estimator, group, &lanes);
     ASSERT_EQ(lanes.size(), group.num_lanes());
     for (size_t lane = 0; lane < group.num_lanes(); ++lane) {
       for (const uint32_t slot : group.lane_slots[lane]) {
@@ -182,6 +181,24 @@ TEST(BatchEstimatorTest, CyclicLanesBitIdenticalToScalar) {
   ExpectLanesMatchScalar(MakeCyclic(), {"//parlist//text"});
 }
 
+TEST(BatchEstimatorTest, LanesBitIdenticalWhenReachEvictedMidGroup) {
+  // A one-entry reach cache evicts between (and within) a group's
+  // structure and lane passes, so every descendant reach is recomputed;
+  // the recomputed vectors must drive both passes identically.
+  EstimateOptions tiny;
+  tiny.reach_cache_capacity = 1;
+  ExpectLanesMatchScalar(MakeCyclic(),
+                         {"//text", "//parlist", "//parlist//text",
+                          "//parlist//text", "/parlist/parlist", "//*",
+                          "//R//text", "//*//text"},
+                         tiny);
+  ExpectLanesMatchScalar(
+      MakeFig7(),
+      {"//A[/B/C[range(0,0)]]//E", "//A[/B/C[range(0,4)]]//E", "//C", "//E",
+       "//*", "//A//C[range(2,7)]", "//A//C[range(0,4)]"},
+      tiny);
+}
+
 TEST(BatchEstimatorTest, UnknownTermLanesEstimateExactlyZero) {
   // contains() with a term absent from the dictionary short-circuits to
   // 0.0 in the scalar path; lanes must reproduce that exactly even when
@@ -197,20 +214,18 @@ TEST(BatchEstimatorTest, EmptySynopsisLanesAreZero) {
   FlatEstimator estimator(flat);
   const CompiledTwig plan = CompiledTwig::Compile(MustParse("/A"), flat);
   BatchPlan partition = BatchPlan::Build({&plan});
-  BatchReachTier tier(&estimator.reach_cache());
   std::vector<double> lanes;
   ASSERT_EQ(partition.num_groups(), 1u);
-  BatchEstimator::EstimateGroup(estimator, partition.groups()[0], &tier,
-                                &lanes);
+  BatchEstimator::EstimateGroup(estimator, partition.groups()[0], &lanes);
   ASSERT_EQ(lanes.size(), 1u);
   EXPECT_EQ(lanes[0], 0.0);
   EXPECT_EQ(lanes[0], estimator.Estimate(plan));
 }
 
 TEST(BatchEstimatorTest, DescendantReachSharedWithinBatch) {
-  // Two descendant plans with the same skeleton form one two-lane group;
-  // the structure pass computes each (source, label) reach once and the
-  // lane pass re-reads it from the batch tier — observable as shared hits.
+  // Two descendant plans with the same skeleton form one two-lane group.
+  // Each (source, label) reach is computed once per batch: the structure
+  // pass misses and publishes it, the lane pass reads the shared vector.
   GraphSynopsis synopsis = MakeCyclic();
   FlatSynopsis flat(synopsis);
   FlatEstimator estimator(flat);
@@ -221,14 +236,14 @@ TEST(BatchEstimatorTest, DescendantReachSharedWithinBatch) {
   BatchPlan partition = BatchPlan::Build({&t1, &p1, &t2, &p2});
   ASSERT_EQ(partition.num_groups(), 2u);  // different labels → different keys
   EXPECT_EQ(partition.num_lanes(), 4u);   // distinct plan objects
-  BatchReachTier tier(&estimator.reach_cache());
   std::vector<double> lanes;
   for (const BatchPlan::Group& group : partition.groups()) {
-    BatchEstimator::EstimateGroup(estimator, group, &tier, &lanes);
+    BatchEstimator::EstimateGroup(estimator, group, &lanes);
   }
-  // Each group's lane pass re-reads the reach its structure pass published.
-  EXPECT_GE(estimator.reach_cache().batch_shared_hits(), 2u);
-  EXPECT_GE(tier.size(), 2u);
+  // Distinct keys: (root, text) and (root, parlist).
+  EXPECT_EQ(estimator.reach_cache().misses(), 2u);
+  EXPECT_EQ(estimator.reach_cache().size(), 2u);
+  EXPECT_GE(estimator.reach_cache().hits(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -346,6 +361,29 @@ TEST(BatchEstimatorServiceTest, ShuffledBatchesBitIdenticalWorkers1) {
 
 TEST(BatchEstimatorServiceTest, ShuffledBatchesBitIdenticalWorkers8) {
   RunShuffledBatchSuite(8);
+}
+
+TEST(BatchEstimatorServiceTest, DuplicateTextsShareALaneWithoutPlanCache) {
+  // With the plan cache disabled every lookup misses; the batch still
+  // resolves each normalized text once, so spellings of one query share
+  // one plan and one lane.
+  ServiceOptions options;
+  options.executor.num_threads = 2;
+  options.plan_cache_capacity = 0;
+  auto service = std::make_unique<EstimationService>(options);
+  ASSERT_TRUE(service->store().Install("fig7", XCluster(MakeFig7())).ok());
+  const std::vector<std::string> queries = {"/A/B/C[range(0,4)]",
+                                            "/A/B/C[range(0,4)]",
+                                            " /A/B/C[range(0,4)] ", "//E"};
+  BatchResult batch = service->EstimateBatch("fig7", queries);
+  ASSERT_TRUE(batch.admission.ok());
+  EXPECT_EQ(batch.stats.ok, queries.size());
+  EXPECT_EQ(batch.stats.vector_lanes, 2u);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const QueryResult one = service->EstimateOne("fig7", queries[i]);
+    ASSERT_TRUE(one.status.ok());
+    EXPECT_EQ(batch.results[i].estimate, one.estimate) << queries[i];
+  }
 }
 
 TEST(BatchEstimatorServiceTest, ExplainBatchesRunAsLaneGroups) {

@@ -275,7 +275,6 @@ TEST(FlatEstimatorTest, BoundedCacheDoesNotChangeEstimates) {
   FlatSynopsis flat(synopsis);
   EstimateOptions tiny;
   tiny.reach_cache_capacity = 1;
-  tiny.reach_cache_shards = 1;
   FlatEstimator thrashing(flat, tiny);
   FlatEstimator roomy(flat);
   for (const char* query : {"//C", "//E", "//C", "//E", "//*"}) {

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "estimate/compiled_twig.h"
@@ -25,13 +26,18 @@ TEST(PlanCacheTest, NormalizeQueryTrimsOuterWhitespace) {
   EXPECT_EQ(PlanCache::NormalizeQuery("  //a/b \t"), "//a/b");
   EXPECT_EQ(PlanCache::NormalizeQuery("//a/b"), "//a/b");
   EXPECT_EQ(PlanCache::NormalizeQuery(" \t "), "");
+  // The normalized text is a view into the raw text, not a copy.
+  const std::string raw = "  //a/b \t";
+  const std::string_view trimmed = PlanCache::NormalizeQuery(raw);
+  EXPECT_EQ(trimmed, "//a/b");
+  EXPECT_EQ(trimmed.data(), raw.data() + 2);
   // Interior whitespace is the parser's business, not the cache key's.
   EXPECT_EQ(PlanCache::NormalizeQuery(" //a[range(1, 2)] "),
             "//a[range(1, 2)]");
 }
 
 TEST(PlanCacheTest, GetPutHitMissCounters) {
-  PlanCache cache(PlanCache::Options{16, 1});
+  PlanCache cache(PlanCache::Options{16});
   EXPECT_EQ(cache.Get(1, "//a"), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
 
@@ -46,7 +52,7 @@ TEST(PlanCacheTest, GetPutHitMissCounters) {
 }
 
 TEST(PlanCacheTest, FirstWriterWinsAndLruEvicts) {
-  PlanCache cache(PlanCache::Options{2, 1});
+  PlanCache cache(PlanCache::Options{2});
   auto first = EmptyPlan();
   cache.Put(1, "//a", first);
   cache.Put(1, "//a", EmptyPlan());  // racing duplicate loses
@@ -62,7 +68,7 @@ TEST(PlanCacheTest, FirstWriterWinsAndLruEvicts) {
 }
 
 TEST(PlanCacheTest, ZeroCapacityDisablesCaching) {
-  PlanCache cache(PlanCache::Options{0, 4});
+  PlanCache cache(PlanCache::Options{0});
   cache.Put(1, "//a", EmptyPlan());
   EXPECT_EQ(cache.Get(1, "//a"), nullptr);
   EXPECT_EQ(cache.size(), 0u);

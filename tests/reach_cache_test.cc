@@ -1,12 +1,14 @@
-// Tests for the bounded, sharded descendant-reach LRU (ReachCache) and for
-// the estimator that now sits on top of it: capacity is a hard bound,
-// eviction follows LRU order, racing writers keep the first value, and —
-// the property everything else depends on — estimates stay bit-identical
-// under concurrency even when the cache is small enough to thrash.
+// Tests for the bounded descendant-reach LRU (ReachCache, a ShardedLru)
+// and for the estimator that sits on top of it: capacity is a hard bound,
+// eviction follows LRU order, racing writers keep the first value, a value
+// handed out survives its eviction, and — the property everything else
+// depends on — estimates stay bit-identical under concurrency even when
+// the cache is small enough to thrash.
 #include "estimate/reach_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -20,63 +22,99 @@
 namespace xcluster {
 namespace {
 
-ReachCache::Value Vec(std::initializer_list<std::pair<uint32_t, double>> v) {
-  return ReachCache::Value(v);
+std::shared_ptr<const ReachVector> Vec(
+    std::initializer_list<std::pair<uint32_t, double>> v) {
+  return std::make_shared<const ReachVector>(v);
 }
 
-TEST(ReachCacheTest, LookupAppendsAndCountsHitsAndMisses) {
-  ReachCache cache(ReachCache::Options{16, 1});
-  ReachCache::Value out;
-  EXPECT_FALSE(cache.Lookup(ReachCache::Key(1, 2), &out));
+TEST(ReachCacheTest, GetPutCountsHitsAndMisses) {
+  ReachCache cache(ReachCache::Options{16});
+  EXPECT_EQ(cache.Get(ReachCache::Key(1, 2)), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
 
-  cache.Insert(ReachCache::Key(1, 2), Vec({{7, 3.5}}));
-  out.push_back({0, 1.0});  // pre-existing contents must be preserved
-  ASSERT_TRUE(cache.Lookup(ReachCache::Key(1, 2), &out));
+  const auto value = Vec({{7, 3.5}});
+  EXPECT_EQ(cache.Put(ReachCache::Key(1, 2), value), value);
+  const auto hit = cache.Get(ReachCache::Key(1, 2));
   EXPECT_EQ(cache.hits(), 1u);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[1].first, 7u);
-  EXPECT_EQ(out[1].second, 3.5);
+  EXPECT_EQ(hit, value);  // shared, not copied
+  ASSERT_EQ(hit->size(), 1u);
+  EXPECT_EQ((*hit)[0].first, 7u);
+  EXPECT_EQ((*hit)[0].second, 3.5);
 }
 
 TEST(ReachCacheTest, CapacityIsAHardBoundWithLruEviction) {
-  // One shard so the global capacity is exact.
-  ReachCache cache(ReachCache::Options{3, 1});
-  cache.Insert(ReachCache::Key(1, 0), Vec({{1, 1.0}}));
-  cache.Insert(ReachCache::Key(2, 0), Vec({{2, 1.0}}));
-  cache.Insert(ReachCache::Key(3, 0), Vec({{3, 1.0}}));
+  // Capacity below 1024 is a single shard, so the LRU order is exact.
+  ReachCache cache(ReachCache::Options{3});
+  cache.Put(ReachCache::Key(1, 0), Vec({{1, 1.0}}));
+  cache.Put(ReachCache::Key(2, 0), Vec({{2, 1.0}}));
+  cache.Put(ReachCache::Key(3, 0), Vec({{3, 1.0}}));
   EXPECT_EQ(cache.size(), 3u);
 
   // Touch key 1 so key 2 is now the least recently used.
-  ReachCache::Value out;
-  ASSERT_TRUE(cache.Lookup(ReachCache::Key(1, 0), &out));
+  ASSERT_NE(cache.Get(ReachCache::Key(1, 0)), nullptr);
 
-  cache.Insert(ReachCache::Key(4, 0), Vec({{4, 1.0}}));
+  cache.Put(ReachCache::Key(4, 0), Vec({{4, 1.0}}));
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_EQ(cache.evictions(), 1u);
-  out.clear();
-  EXPECT_FALSE(cache.Lookup(ReachCache::Key(2, 0), &out));  // evicted
-  EXPECT_TRUE(cache.Lookup(ReachCache::Key(1, 0), &out));   // survived
-  EXPECT_TRUE(cache.Lookup(ReachCache::Key(4, 0), &out));
+  EXPECT_EQ(cache.Get(ReachCache::Key(2, 0)), nullptr);  // evicted
+  EXPECT_NE(cache.Get(ReachCache::Key(1, 0)), nullptr);  // survived
+  EXPECT_NE(cache.Get(ReachCache::Key(4, 0)), nullptr);
 }
 
 TEST(ReachCacheTest, FirstWriterWins) {
-  ReachCache cache(ReachCache::Options{8, 1});
-  cache.Insert(ReachCache::Key(5, 5), Vec({{1, 1.0}}));
-  cache.Insert(ReachCache::Key(5, 5), Vec({{2, 2.0}}));  // loses the race
-  ReachCache::Value out;
-  ASSERT_TRUE(cache.Lookup(ReachCache::Key(5, 5), &out));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].first, 1u);
+  ReachCache cache(ReachCache::Options{8});
+  const auto first = Vec({{1, 1.0}});
+  cache.Put(ReachCache::Key(5, 5), first);
+  // The losing writer gets the incumbent back.
+  EXPECT_EQ(cache.Put(ReachCache::Key(5, 5), Vec({{2, 2.0}})), first);
+  const auto hit = cache.Get(ReachCache::Key(5, 5));
+  ASSERT_NE(hit, nullptr);
+  ASSERT_EQ(hit->size(), 1u);
+  EXPECT_EQ((*hit)[0].first, 1u);
 }
 
 TEST(ReachCacheTest, ZeroCapacityDisablesCaching) {
-  ReachCache cache(ReachCache::Options{0, 4});
-  cache.Insert(ReachCache::Key(1, 1), Vec({{1, 1.0}}));
-  ReachCache::Value out;
-  EXPECT_FALSE(cache.Lookup(ReachCache::Key(1, 1), &out));
+  ReachCache cache(ReachCache::Options{0});
+  const auto value = Vec({{1, 1.0}});
+  EXPECT_EQ(cache.Put(ReachCache::Key(1, 1), value), value);
+  EXPECT_EQ(cache.Get(ReachCache::Key(1, 1)), nullptr);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.evictions(), 0u);
+}
+
+TEST(ReachCacheTest, ValueOutlivesItsEviction) {
+  // A reader iterates the vector Get returned without holding any lock;
+  // evicting the entry underneath it must neither free nor change it.
+  // (Under ASan a dangling read here is a hard failure.)
+  ReachCache cache(ReachCache::Options{1});
+  cache.Put(ReachCache::Key(1, 0), Vec({{7, 3.5}, {9, 0.25}}));
+  const auto held = cache.Get(ReachCache::Key(1, 0));
+  ASSERT_NE(held, nullptr);
+  for (uint32_t i = 2; i < 64; ++i) {
+    cache.Put(ReachCache::Key(i, 0), Vec({{i, 1.0}}));
+  }
+  EXPECT_EQ(cache.Get(ReachCache::Key(1, 0)), nullptr);  // evicted
+  EXPECT_EQ(cache.size(), 1u);
+  ASSERT_EQ(held->size(), 2u);
+  EXPECT_EQ((*held)[0].first, 7u);
+  EXPECT_EQ((*held)[0].second, 3.5);
+  EXPECT_EQ((*held)[1].first, 9u);
+  EXPECT_EQ((*held)[1].second, 0.25);
+}
+
+TEST(ReachCacheTest, ShardCountFollowsCapacity) {
+  // clamp(capacity / 512, 1, 8): small caches are one exact LRU, the
+  // defaults stripe eight ways, and shard capacities sum to the bound.
+  EXPECT_EQ(ReachCache(ReachCache::Options{0}).num_shards(), 1u);
+  EXPECT_EQ(ReachCache(ReachCache::Options{1023}).num_shards(), 1u);
+  EXPECT_EQ(ReachCache(ReachCache::Options{1024}).num_shards(), 2u);
+  EXPECT_EQ(ReachCache(ReachCache::Options{4096}).num_shards(), 8u);
+  EXPECT_EQ(ReachCache().num_shards(), 8u);
+  ReachCache cache(ReachCache::Options{1537});  // 3 shards: 513+512+512
+  for (uint32_t i = 0; i < 20000; ++i) {
+    cache.Put(ReachCache::Key(i, 0), Vec({{i, 1.0}}));
+  }
+  EXPECT_EQ(cache.size(), 1537u);
 }
 
 TEST(ReachCacheTest, MixSeparatesXorCollidingKeys) {
@@ -87,7 +125,7 @@ TEST(ReachCacheTest, MixSeparatesXorCollidingKeys) {
   const int kN = 512;
   for (uint32_t i = 0; i < kN; ++i) {
     // All of these have source ^ label == 0.
-    mixed.insert(ReachCache::Mix(ReachCache::Key(i, i)));
+    mixed.insert(Mix64(ReachCache::Key(i, i)));
   }
   EXPECT_EQ(mixed.size(), static_cast<size_t>(kN));
   // And their low bits (what a power-of-two table actually uses) must not
@@ -95,44 +133,6 @@ TEST(ReachCacheTest, MixSeparatesXorCollidingKeys) {
   std::set<uint64_t> low;
   for (uint64_t m : mixed) low.insert(m % 64);
   EXPECT_GT(low.size(), 32u);
-}
-
-TEST(BatchReachTierTest, InsertThenLookupReturnsStablePointer) {
-  ReachCache cache(ReachCache::Options{16, 1});
-  BatchReachTier tier(&cache);
-  const ReachCache::Value* first =
-      tier.Insert(ReachCache::Key(1, 2), Vec({{7, 3.5}}));
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(tier.size(), 1u);
-  // Pointers stay valid as the tier grows (node-based map, no erase):
-  // insert enough entries to force a rehash, then re-check the first.
-  for (uint32_t i = 10; i < 200; ++i) {
-    tier.Insert(ReachCache::Key(i, 0), Vec({{i, 1.0}}));
-  }
-  EXPECT_EQ(tier.Lookup(ReachCache::Key(1, 2)), first);
-  ASSERT_EQ(first->size(), 1u);
-  EXPECT_EQ((*first)[0].first, 7u);
-  EXPECT_EQ((*first)[0].second, 3.5);
-}
-
-TEST(BatchReachTierTest, FirstWriterWinsAndLookupCountsSharedHits) {
-  ReachCache cache(ReachCache::Options{16, 1});
-  BatchReachTier tier(&cache);
-  EXPECT_EQ(tier.Lookup(ReachCache::Key(3, 3)), nullptr);
-  EXPECT_EQ(cache.batch_shared_hits(), 0u);  // misses are not shared hits
-
-  const ReachCache::Value* winner =
-      tier.Insert(ReachCache::Key(3, 3), Vec({{1, 1.0}}));
-  const ReachCache::Value* loser =
-      tier.Insert(ReachCache::Key(3, 3), Vec({{2, 2.0}}));
-  EXPECT_EQ(loser, winner);  // second writer gets the first value back
-  ASSERT_EQ(winner->size(), 1u);
-  EXPECT_EQ((*winner)[0].first, 1u);
-  EXPECT_EQ(tier.size(), 1u);
-
-  EXPECT_EQ(tier.Lookup(ReachCache::Key(3, 3)), winner);
-  EXPECT_EQ(tier.Lookup(ReachCache::Key(3, 3)), winner);
-  EXPECT_EQ(cache.batch_shared_hits(), 2u);
 }
 
 TwigQuery MustParse(std::string_view input) {
@@ -169,7 +169,6 @@ TEST(ReachCacheTest, EstimatorCacheStaysBoundedAndCounts) {
   GraphSynopsis synopsis = MakeDeepSynopsis();
   EstimateOptions options;
   options.reach_cache_capacity = 4;
-  options.reach_cache_shards = 2;
   const FlatSynopsis flat(synopsis);
   const FlatEstimator estimator(flat, options);
   for (int pass = 0; pass < 3; ++pass) {
@@ -200,7 +199,6 @@ TEST(ReachCacheTest, ConcurrentEstimatesDeterministicUnderEviction) {
 
   EstimateOptions options;
   options.reach_cache_capacity = 3;
-  options.reach_cache_shards = 1;
   const FlatSynopsis shared_flat(synopsis);
   const FlatEstimator shared(shared_flat, options);
   constexpr int kThreads = 8;
