@@ -1,6 +1,7 @@
 #include "build/builder.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <map>
 #include <queue>
@@ -43,18 +44,24 @@ std::vector<SynNodeId> CompatiblePeers(const GraphSynopsis& synopsis,
 
 /// Phase 1 under the localized-delta (or count-only) policy: a marginal-loss
 /// min-heap with per-node version staleness checks and level-scheduled pool
-/// rebuilds.
+/// rebuilds. One DeltaScorer memoizes per-node predicates for the whole
+/// phase; it is freed when the phase returns.
 void GuidedMergePhase(GraphSynopsis* synopsis, const BuildOptions& options,
                       const DeltaOptions& delta_options, BuildStats* stats) {
+  DeltaScorer scorer(delta_options);
   uint32_t level_cap = 0;
-  while (synopsis->StructuralBytes() > options.structural_budget) {
+  // Counted once per stage, then kept current by subtracting each merge's
+  // savings instead of recounting the whole arena per heap pop.
+  size_t structural = 0;
+  while ((structural = synopsis->StructuralBytes()) >
+         options.structural_budget) {
     std::vector<MergeCandidate> pool;
     {
       // Pool construction is where the delta metric dominates: every
       // candidate pair is scored here or in the staleness re-evaluations
       // below.
       XCLUSTER_SCOPED_TIMER_NS("build.pool_rebuild_ns");
-      pool = BuildPool(*synopsis, options.pool_max, level_cap, delta_options,
+      pool = BuildPool(*synopsis, options.pool_max, level_cap, &scorer,
                        options.pair_sample_cap);
     }
     XCLUSTER_COUNTER_INC("build.pool_rebuilds");
@@ -81,8 +88,7 @@ void GuidedMergePhase(GraphSynopsis* synopsis, const BuildOptions& options,
     // pools that start small so tiny synopses don't rebuild per merge).
     const size_t low_water = std::min(options.pool_min, heap.size() / 2);
     size_t merges_this_stage = 0;
-    while (!heap.empty() &&
-           synopsis->StructuralBytes() > options.structural_budget) {
+    while (!heap.empty() && structural > options.structural_budget) {
       MergeCandidate candidate = heap.top();
       heap.pop();
       if (!synopsis->node(candidate.u).alive ||
@@ -92,14 +98,18 @@ void GuidedMergePhase(GraphSynopsis* synopsis, const BuildOptions& options,
       if (candidate.version_u != synopsis->node(candidate.u).version ||
           candidate.version_v != synopsis->node(candidate.v).version) {
         // Stale: the neighborhood changed since scoring; re-evaluate lazily.
-        heap.push(EvaluateCandidate(*synopsis, candidate.u, candidate.v,
-                                    delta_options));
+        heap.push(
+            EvaluateCandidate(*synopsis, candidate.u, candidate.v, &scorer));
         XCLUSTER_COUNTER_INC("build.candidates_evaluated");
         XCLUSTER_COUNTER_INC("build.candidates_rescored");
         if (stats != nullptr) ++stats->candidates_evaluated;
         continue;
       }
+      structural -= MergeSavings(*synopsis, candidate.u, candidate.v);
       SynNodeId w = synopsis->MergeNodes(candidate.u, candidate.v);
+      assert(structural == synopsis->StructuralBytes());
+      scorer.Forget(candidate.u);
+      scorer.Forget(candidate.v);
       ++merges_this_stage;
       XCLUSTER_COUNTER_INC("build.merges_applied");
       if (stats != nullptr) ++stats->merges_applied;
@@ -109,12 +119,12 @@ void GuidedMergePhase(GraphSynopsis* synopsis, const BuildOptions& options,
       std::vector<SynNodeId> peers = CompatiblePeers(*synopsis, w);
       XCLUSTER_COUNTER_ADD("build.candidates_evaluated", peers.size());
       for (SynNodeId peer : peers) {
-        heap.push(EvaluateCandidate(*synopsis, peer, w, delta_options));
+        heap.push(EvaluateCandidate(*synopsis, peer, w, &scorer));
         if (stats != nullptr) ++stats->candidates_evaluated;
       }
       if (heap.size() < low_water) break;  // replenish the pool
     }
-    if (synopsis->StructuralBytes() <= options.structural_budget) return;
+    if (structural <= options.structural_budget) return;
     // A productive stage rebuilds at the same level; a barren one widens
     // the level window (the paper's bottom-up schedule).
     if (merges_this_stage == 0) ++level_cap;

@@ -20,28 +20,6 @@ struct TargetCounts {
   double from_v = 0.0;
 };
 
-/// Enumerates atomic predicates for the pair: the trivial predicate is
-/// represented by an entry with type kNone (selectivity 1 everywhere), then
-/// up to `cap` predicates drawn alternately from both summaries.
-std::vector<AtomicPredicate> PairPredicates(const ValueSummary& a,
-                                            const ValueSummary& b,
-                                            const DeltaOptions& options) {
-  std::vector<AtomicPredicate> preds;
-  preds.emplace_back();  // trivial: type kNone
-  if (!options.use_value_summaries || options.atomic_pred_cap == 0) {
-    return preds;
-  }
-  const size_t half = (options.atomic_pred_cap + 1) / 2;
-  std::vector<AtomicPredicate> from_a = a.AtomicPredicates(half);
-  std::vector<AtomicPredicate> from_b = b.AtomicPredicates(half);
-  for (const AtomicPredicate& p : from_a) preds.push_back(p);
-  for (const AtomicPredicate& p : from_b) preds.push_back(p);
-  if (preds.size() > options.atomic_pred_cap + 1) {
-    preds.resize(options.atomic_pred_cap + 1);
-  }
-  return preds;
-}
-
 double SelectivityOf(const ValueSummary& summary, const AtomicPredicate& p) {
   if (p.type == ValueType::kNone) return 1.0;  // trivial predicate
   return summary.AtomicSelectivity(p);
@@ -49,8 +27,30 @@ double SelectivityOf(const ValueSummary& summary, const AtomicPredicate& p) {
 
 }  // namespace
 
-double MergeDelta(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v,
-                  const DeltaOptions& options) {
+const DeltaScorer::NodePredicates& DeltaScorer::PredicatesOf(
+    const GraphSynopsis& synopsis, SynNodeId id) {
+  NodePredicates& entry = memo_[id];
+  if (!entry.ready) {
+    entry.ready = true;
+    if (options_.use_value_summaries && options_.atomic_pred_cap != 0) {
+      const ValueSummary& summary = synopsis.node(id).vsumm;
+      const size_t half = (options_.atomic_pred_cap + 1) / 2;
+      entry.preds = summary.AtomicPredicates(half);
+      entry.sigma.reserve(entry.preds.size());
+      for (const AtomicPredicate& p : entry.preds) {
+        entry.sigma.push_back(summary.AtomicSelectivity(p));
+      }
+    }
+  }
+  return entry;
+}
+
+void DeltaScorer::Forget(SynNodeId id) {
+  if (id < memo_.size()) memo_[id] = NodePredicates();
+}
+
+double DeltaScorer::MergeDelta(const GraphSynopsis& synopsis, SynNodeId u,
+                               SynNodeId v) {
   const SynNode& nu = synopsis.node(u);
   const SynNode& nv = synopsis.node(v);
   const double cu = nu.count;
@@ -72,25 +72,37 @@ double MergeDelta(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v,
   // divergence even for leaves.
   targets[kImplicitSelf] = {1.0, 1.0};
 
-  std::vector<AtomicPredicate> preds =
-      PairPredicates(nu.vsumm, nv.vsumm, options);
-  const bool value_laden =
-      options.use_value_summaries && (!nu.vsumm.empty() || !nv.vsumm.empty());
-  ValueSummary merged;
-  if (value_laden) merged = ValueSummary::Merge(nu.vsumm, cu, nv.vsumm, cv);
-
   double delta = 0.0;
-  for (const AtomicPredicate& p : preds) {
-    const double su = SelectivityOf(nu.vsumm, p);
-    const double sv = SelectivityOf(nv.vsumm, p);
-    const double sw =
-        (p.type == ValueType::kNone) ? 1.0 : SelectivityOf(merged, p);
+  auto charge = [&](double su, double sv, double sw) {
     for (const auto& [target, counts] : targets) {
       const double aw = (cu * counts.from_u + cv * counts.from_v) / cw;
       const double du = su * counts.from_u - sw * aw;
       const double dv = sv * counts.from_v - sw * aw;
       delta += cu * du * du + cv * dv * dv;
     }
+  };
+  charge(1.0, 1.0, 1.0);  // the trivial predicate
+
+  if (memo_.size() < synopsis.arena_size()) {
+    memo_.resize(synopsis.arena_size());
+  }
+  const NodePredicates& pu = PredicatesOf(synopsis, u);
+  const NodePredicates& pv = PredicatesOf(synopsis, v);
+  if (pu.preds.empty() && pv.preds.empty()) return delta;
+
+  const ValueSummary& a = nu.vsumm;
+  const ValueSummary& b = nv.vsumm;
+  const MergedSelectivity merged_sigma(a, cu, b, cv);
+
+  // u's predicates first, then v's, at most atomic_pred_cap in all.
+  size_t left = options_.atomic_pred_cap;
+  for (size_t i = 0; i < pu.preds.size() && left > 0; ++i, --left) {
+    const AtomicPredicate& p = pu.preds[i];
+    charge(pu.sigma[i], b.AtomicSelectivity(p), merged_sigma(p));
+  }
+  for (size_t i = 0; i < pv.preds.size() && left > 0; ++i, --left) {
+    const AtomicPredicate& p = pv.preds[i];
+    charge(a.AtomicSelectivity(p), pv.sigma[i], merged_sigma(p));
   }
   return delta;
 }

@@ -2,6 +2,7 @@
 #define XCLUSTER_BUILD_DELTA_H_
 
 #include <cstddef>
+#include <vector>
 
 #include "summaries/value_summary.h"
 #include "synopsis/graph.h"
@@ -21,14 +22,46 @@ struct DeltaOptions {
   size_t atomic_pred_cap = 16;
 };
 
-/// Marginal clustering error of merging u and v (which must be alive and
-/// label/type compatible): the extent-weighted sum of squared differences of
-/// e(x, p, c) = sigma_p(x) * count(x, c) between the original nodes and the
-/// merged node, over the enumerated atomic predicates p and the mapped child
-/// targets c (plus an implicit count-1 self target so leaf value drift is
-/// charged).
-double MergeDelta(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v,
-                  const DeltaOptions& options);
+/// Scores phase-1 merges with the localized Delta(S, S') metric.
+///
+/// Each node's sampled atomic predicates, with their selectivities on the
+/// node's own summary, are computed once and memoized by SynNodeId. No
+/// entry goes stale: MergeNodes gives the merged node a fresh id and never
+/// changes a live node's value summary, so a scorer stays valid across
+/// merges of the synopsis it scores (Forget frees a merged-away node's
+/// entry). sigma_p of the merged node comes from MergedSelectivity, which
+/// builds the fused summary only for NUMERIC pairs. Scores are
+/// bit-identical to evaluating every predicate on ValueSummary::Merge.
+class DeltaScorer {
+ public:
+  explicit DeltaScorer(const DeltaOptions& options) : options_(options) {}
+
+  /// Marginal clustering error of merging u and v (which must be alive and
+  /// label/type compatible): the extent-weighted sum of squared
+  /// differences of e(x, p, c) = sigma_p(x) * count(x, c) between the
+  /// original nodes and the merged node, over the enumerated atomic
+  /// predicates p and the mapped child targets c (plus an implicit count-1
+  /// self target so leaf value drift is charged). The predicates are the
+  /// trivial one, then up to `atomic_pred_cap` drawn from both summaries
+  /// (half from each, u's first).
+  double MergeDelta(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v);
+
+  /// Drops the memo entry of a node that is no longer alive.
+  void Forget(SynNodeId id);
+
+ private:
+  struct NodePredicates {
+    bool ready = false;
+    std::vector<AtomicPredicate> preds;
+    std::vector<double> sigma;  ///< selectivity on the node's own summary
+  };
+
+  const NodePredicates& PredicatesOf(const GraphSynopsis& synopsis,
+                                     SynNodeId id);
+
+  DeltaOptions options_;
+  std::vector<NodePredicates> memo_;  ///< indexed by SynNodeId
+};
 
 /// Structural bytes freed by MergeNodes(u, v) under the synopsis size model:
 /// one node plus every collapsing duplicate edge. Matches the realized

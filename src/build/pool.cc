@@ -6,11 +6,11 @@
 namespace xcluster {
 
 MergeCandidate EvaluateCandidate(const GraphSynopsis& synopsis, SynNodeId u,
-                                 SynNodeId v, const DeltaOptions& options) {
+                                 SynNodeId v, DeltaScorer* scorer) {
   MergeCandidate candidate;
   candidate.u = u;
   candidate.v = v;
-  candidate.delta = MergeDelta(synopsis, u, v, options);
+  candidate.delta = scorer->MergeDelta(synopsis, u, v);
   candidate.savings = MergeSavings(synopsis, u, v);
   candidate.version_u = synopsis.node(u).version;
   candidate.version_v = synopsis.node(v).version;
@@ -19,7 +19,7 @@ MergeCandidate EvaluateCandidate(const GraphSynopsis& synopsis, SynNodeId u,
 
 std::vector<MergeCandidate> BuildPool(const GraphSynopsis& synopsis,
                                       size_t pool_max, uint32_t level_cap,
-                                      const DeltaOptions& options,
+                                      DeltaScorer* scorer,
                                       size_t pair_sample_cap) {
   std::vector<uint32_t> levels = synopsis.ComputeLevels();
 
@@ -47,7 +47,7 @@ std::vector<MergeCandidate> BuildPool(const GraphSynopsis& synopsis,
       for (size_t j = i + 1; j < members.size(); ++j) {
         if (pair_index++ % stride != 0) continue;
         pool.push_back(
-            EvaluateCandidate(synopsis, members[i], members[j], options));
+            EvaluateCandidate(synopsis, members[i], members[j], scorer));
       }
     }
   }

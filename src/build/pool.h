@@ -28,7 +28,7 @@ struct MergeCandidate {
 /// Scores the pair (u, v) against the current synopsis state, recording the
 /// nodes' version counters for later staleness checks.
 MergeCandidate EvaluateCandidate(const GraphSynopsis& synopsis, SynNodeId u,
-                                 SynNodeId v, const DeltaOptions& options);
+                                 SynNodeId v, DeltaScorer* scorer);
 
 /// Enumerates label/type-compatible pairs among alive nodes whose level
 /// (shortest path to a leaf) is <= `level_cap`, scores each, and returns the
@@ -37,7 +37,7 @@ MergeCandidate EvaluateCandidate(const GraphSynopsis& synopsis, SynNodeId u,
 /// stride-sampled deterministically to bound the quadratic blowup.
 std::vector<MergeCandidate> BuildPool(const GraphSynopsis& synopsis,
                                       size_t pool_max, uint32_t level_cap,
-                                      const DeltaOptions& options,
+                                      DeltaScorer* scorer,
                                       size_t pair_sample_cap = 0);
 
 }  // namespace xcluster

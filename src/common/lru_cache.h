@@ -52,9 +52,15 @@ inline uint64_t Mix64(uint64_t key) {
 /// accessors below, observable with telemetry compiled out) and as the
 /// process-global `<metric_prefix>.{hits,misses,evictions}` counters.
 ///
+/// Get also takes any key type that `Hash` and `Equal` accept when both
+/// declare `is_transparent` (heterogeneous lookup), so a caller can probe
+/// with a borrowed view of a key without building an owning one. Such a
+/// type must hash exactly as the Key it stands for.
+///
 /// Thread safety: all methods may be called from any thread; each shard's
 /// mutex is held only for its own map/list operation.
-template <class Key, class Value, class Hash = std::hash<Key>>
+template <class Key, class Value, class Hash = std::hash<Key>,
+          class Equal = std::equal_to<Key>>
 class ShardedLru {
  public:
   using ValuePtr = std::shared_ptr<const Value>;
@@ -83,7 +89,8 @@ class ShardedLru {
 
   /// The cached value for `key` (refreshed to most recently used), or
   /// nullptr on a miss.
-  ValuePtr Get(const Key& key) const {
+  template <class LookupKey = Key>
+  ValuePtr Get(const LookupKey& key) const {
     if (capacity_ > 0) {
       Shard& shard = ShardFor(key);
       std::lock_guard<std::mutex> lock(shard.mu);
@@ -144,10 +151,12 @@ class ShardedLru {
     std::mutex mu;
     size_t capacity = 0;
     std::list<Entry> lru;  ///< front = most recently used
-    std::unordered_map<Key, typename std::list<Entry>::iterator, Hash> index;
+    std::unordered_map<Key, typename std::list<Entry>::iterator, Hash, Equal>
+        index;
   };
 
-  Shard& ShardFor(const Key& key) const {
+  template <class LookupKey>
+  Shard& ShardFor(const LookupKey& key) const {
     return *shards_[Hash()(key) % shards_.size()];
   }
 

@@ -18,15 +18,32 @@ namespace xcluster {
 struct PlanKey {
   uint64_t generation = 0;
   std::string text;
-  bool operator==(const PlanKey& other) const {
-    return generation == other.generation && text == other.text;
+};
+
+/// A borrowed PlanKey: what Get probes with, so a hit allocates nothing.
+struct PlanKeyView {
+  uint64_t generation = 0;
+  std::string_view text;
+};
+
+/// Hash and equality over PlanKey and PlanKeyView alike (heterogeneous
+/// lookup): both read the text through a string_view, so a key and its
+/// view hash identically.
+struct PlanKeyHash {
+  using is_transparent = void;
+  template <class K>
+  size_t operator()(const K& key) const {
+    return static_cast<size_t>(Mix64(key.generation)) ^
+           std::hash<std::string_view>()(std::string_view(key.text));
   }
 };
 
-struct PlanKeyHash {
-  size_t operator()(const PlanKey& key) const {
-    return static_cast<size_t>(Mix64(key.generation)) ^
-           std::hash<std::string>()(key.text);
+struct PlanKeyEqual {
+  using is_transparent = void;
+  template <class A, class B>
+  bool operator()(const A& a, const B& b) const {
+    return a.generation == b.generation &&
+           std::string_view(a.text) == std::string_view(b.text);
   }
 };
 
@@ -44,7 +61,8 @@ struct PlanKeyHash {
 /// estimate keeps its plan alive even if the entry is evicted mid-query.
 ///
 /// Thread safety: all methods may be called from any thread.
-class PlanCache : private ShardedLru<PlanKey, CompiledTwig, PlanKeyHash> {
+class PlanCache
+    : private ShardedLru<PlanKey, CompiledTwig, PlanKeyHash, PlanKeyEqual> {
  public:
   struct Options {
     /// Maximum cached plans. 0 disables caching.
@@ -62,10 +80,11 @@ class PlanCache : private ShardedLru<PlanKey, CompiledTwig, PlanKeyHash> {
   /// different plans. Returns a view into `raw`.
   static std::string_view NormalizeQuery(std::string_view raw);
 
-  /// Cached plan for (generation, normalized), or nullptr on miss.
+  /// Cached plan for (generation, normalized), or nullptr on miss. Looks
+  /// up by view: a hit allocates nothing.
   std::shared_ptr<const CompiledTwig> Get(uint64_t generation,
                                           std::string_view normalized) const {
-    return ShardedLru::Get(PlanKey{generation, std::string(normalized)});
+    return ShardedLru::Get(PlanKeyView{generation, normalized});
   }
 
   /// Inserts `plan` (first writer wins), evicting the LRU entry of its

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <queue>
+#include <utility>
 
 namespace xcluster {
 
@@ -111,6 +113,25 @@ Pst Pst::Merge(const Pst& a, const Pst& b) {
     }
   }
   return out;
+}
+
+double Pst::MergedSelectivity(const Pst& a, const Pst& b,
+                              std::string_view s) {
+  // Mirrors Merge's empty-side shortcuts, then Selectivity/EstimateCount
+  // on the union: the walk matches all of s, whose union node carries
+  // 0.0 + count_a + count_b over the summed totals.
+  if (a.nodes_.empty()) return b.Selectivity(s);
+  if (b.nodes_.empty()) return a.Selectivity(s);
+  const double total = a.total_ + b.total_;
+  if (total <= 0.0) return 0.0;
+  if (s.empty()) return total / total;
+  double count = 0.0;
+  const double count_a = a.LookupCount(s);
+  if (count_a >= 0.0) count += count_a;
+  const double count_b = b.LookupCount(s);
+  if (count_b >= 0.0) count += count_b;
+  const double p = std::min(count / total, 1.0);
+  return p * total / total;
 }
 
 uint32_t Pst::WalkLongestPrefix(std::string_view s, size_t* matched) const {
@@ -282,33 +303,55 @@ Pst Pst::Pruned(size_t num_leaves) const {
 }
 
 std::vector<std::string> Pst::SampleSubstrings(size_t cap) const {
-  std::vector<std::string> all;
-  if (nodes_.empty()) return all;
-  // DFS, collecting the string of every alive node.
-  std::vector<std::pair<uint32_t, std::string>> stack;
-  stack.push_back({kRoot, ""});
-  while (!stack.empty()) {
-    auto [node, prefix] = std::move(stack.back());
-    stack.pop_back();
-    if (node != kRoot) all.push_back(prefix);
-    for (uint32_t child : nodes_[node].children) {
-      if (!nodes_[child].alive) continue;
-      stack.push_back({child, prefix + nodes_[child].symbol});
+  std::vector<std::string> out;
+  if (nodes_.empty()) return out;
+  // Breadth-first order with each node's children visited by unsigned
+  // symbol is (length, bytewise) order — std::string's operator< compares
+  // as unsigned char — so the sort the stride sample needs comes free.
+  std::vector<uint32_t> order = {kRoot};
+  for (size_t i = 0; i < order.size(); ++i) {
+    const size_t first = order.size();
+    for (uint32_t child : nodes_[order[i]].children) {
+      if (nodes_[child].alive) order.push_back(child);
     }
+    std::sort(order.begin() + static_cast<ptrdiff_t>(first), order.end(),
+              [this](uint32_t x, uint32_t y) {
+                return static_cast<unsigned char>(nodes_[x].symbol) <
+                       static_cast<unsigned char>(nodes_[y].symbol);
+              });
   }
-  if (all.size() <= cap || cap == 0) return all;
+  const size_t stored = order.size() - 1;  // excluding the root
+
+  if (stored <= cap || cap == 0) {
+    // Everything, in preorder (children pushed in order, popped last
+    // first); `path` holds the string of the node popped last, whose
+    // first depth - 1 symbols spell the next node's parent.
+    out.reserve(stored);
+    std::string path;
+    std::vector<std::pair<uint32_t, size_t>> stack;  // (node, depth)
+    stack.push_back({kRoot, 0});
+    while (!stack.empty()) {
+      auto [node, depth] = stack.back();
+      stack.pop_back();
+      if (node != kRoot) {
+        path.resize(depth - 1);
+        path += nodes_[node].symbol;
+        out.push_back(path);
+      }
+      for (uint32_t child : nodes_[node].children) {
+        if (nodes_[child].alive) stack.push_back({child, depth + 1});
+      }
+    }
+    return out;
+  }
   // Deterministic stride sample preserving depth diversity.
-  std::sort(all.begin(), all.end(), [](const auto& x, const auto& y) {
-    if (x.size() != y.size()) return x.size() < y.size();
-    return x < y;
-  });
-  std::vector<std::string> sampled;
-  sampled.reserve(cap);
-  const double stride = static_cast<double>(all.size()) / static_cast<double>(cap);
+  out.reserve(cap);
+  const double stride = static_cast<double>(stored) / static_cast<double>(cap);
   for (size_t k = 0; k < cap; ++k) {
-    sampled.push_back(all[static_cast<size_t>(stride * static_cast<double>(k))]);
+    const size_t index = static_cast<size_t>(stride * static_cast<double>(k));
+    out.push_back(StringOf(order[1 + index]));
   }
-  return sampled;
+  return out;
 }
 
 std::vector<Pst::DumpNode> Pst::Dump() const {

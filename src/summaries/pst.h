@@ -36,6 +36,14 @@ class Pst {
   /// counts.
   static Pst Merge(const Pst& a, const Pst& b);
 
+  /// Selectivity(s) of Merge(a, b), read off the two inputs without
+  /// building the union, for a substring `s` stored in full in `a` or `b`
+  /// (for instance one of either side's SampleSubstrings): the union
+  /// stores s with the summed count, so no Markov step is taken. The
+  /// result is bit-identical to Merge(a, b).Selectivity(s).
+  static double MergedSelectivity(const Pst& a, const Pst& b,
+                                  std::string_view s);
+
   /// Estimated number of strings containing `qs` as a substring.
   double EstimateCount(std::string_view qs) const;
 
@@ -57,7 +65,10 @@ class Pst {
   Pst Pruned(size_t num_leaves) const;
 
   /// Up to `cap` substrings stored in the tree, sampled deterministically
-  /// across depths — the atomic STRING predicates of Sec. 4.1.
+  /// across depths — the atomic STRING predicates of Sec. 4.1. When the
+  /// tree holds at most `cap` substrings (or `cap` is 0) all of them are
+  /// returned in preorder; otherwise the sample is a stride over them in
+  /// (length, bytewise) order.
   std::vector<std::string> SampleSubstrings(size_t cap) const;
 
   /// Number of summarized strings.

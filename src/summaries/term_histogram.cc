@@ -29,6 +29,32 @@ TermHistogram TermHistogram::Build(const std::vector<TermSet>& texts) {
   return hist;
 }
 
+template <class Fn>
+void TermHistogram::ForEachMergedUniform(const TermHistogram& a, double wa,
+                                         const TermHistogram& b, double wb,
+                                         Fn fn) {
+  const std::vector<TermId>& ua = a.uniform_members_;
+  const std::vector<TermId>& ub = b.uniform_members_;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < ua.size() || j < ub.size()) {
+    TermId term;
+    if (j == ub.size() || (i < ua.size() && ua[i] < ub[j])) {
+      term = ua[i++];
+    } else if (i == ua.size() || ub[j] < ua[i]) {
+      term = ub[j++];
+    } else {
+      term = ua[i++];
+      ++j;
+    }
+    if (a.IndexedFrequency(term) != nullptr ||
+        b.IndexedFrequency(term) != nullptr) {
+      continue;
+    }
+    fn(term, wa * a.Frequency(term) + wb * b.Frequency(term));
+  }
+}
+
 TermHistogram TermHistogram::Merge(const TermHistogram& a, double weight_a,
                                    const TermHistogram& b, double weight_b) {
   const double total = weight_a + weight_b;
@@ -54,30 +80,55 @@ TermHistogram TermHistogram::Merge(const TermHistogram& a, double weight_a,
 
   // Uniform buckets: union of members not promoted to indexed; average is
   // the weighted mean of the members' estimated frequencies.
-  std::vector<TermId> members;
-  std::set_union(a.uniform_members_.begin(), a.uniform_members_.end(),
-                 b.uniform_members_.begin(), b.uniform_members_.end(),
-                 std::back_inserter(members));
   double mass = 0.0;
-  size_t kept = 0;
-  for (TermId term : members) {
-    if (indexed.count(term) != 0) continue;
-    members[kept++] = term;
-    mass += wa * a.Frequency(term) + wb * b.Frequency(term);
-  }
-  members.resize(kept);
-  out.uniform_members_ = std::move(members);
+  ForEachMergedUniform(a, wa, b, wb, [&](TermId term, double freq) {
+    out.uniform_members_.push_back(term);
+    mass += freq;
+  });
   out.uniform_avg_ = out.uniform_members_.empty()
                          ? 0.0
                          : mass / static_cast<double>(out.uniform_members_.size());
   return out;
 }
 
-double TermHistogram::Frequency(TermId term) const {
+double TermHistogram::MergedFrequency(const TermHistogram& a, double weight_a,
+                                      const TermHistogram& b, double weight_b,
+                                      TermId term) {
+  const double total = weight_a + weight_b;
+  if (total <= 0.0) return 0.0;
+  const double wa = weight_a / total;
+  const double wb = weight_b / total;
+  if (const double* freq = a.IndexedFrequency(term)) {
+    return wa * *freq + wb * b.Frequency(term);
+  }
+  if (const double* freq = b.IndexedFrequency(term)) {
+    return wb * *freq + wa * a.Frequency(term);
+  }
+  if (!std::binary_search(a.uniform_members_.begin(),
+                          a.uniform_members_.end(), term) &&
+      !std::binary_search(b.uniform_members_.begin(),
+                          b.uniform_members_.end(), term)) {
+    return 0.0;
+  }
+  double mass = 0.0;
+  size_t members = 0;
+  ForEachMergedUniform(a, wa, b, wb, [&](TermId, double freq) {
+    mass += freq;
+    ++members;
+  });
+  return mass / static_cast<double>(members);
+}
+
+const double* TermHistogram::IndexedFrequency(TermId term) const {
   auto it = std::lower_bound(
       indexed_.begin(), indexed_.end(), term,
       [](const auto& entry, TermId t) { return entry.first < t; });
-  if (it != indexed_.end() && it->first == term) return it->second;
+  if (it != indexed_.end() && it->first == term) return &it->second;
+  return nullptr;
+}
+
+double TermHistogram::Frequency(TermId term) const {
+  if (const double* freq = IndexedFrequency(term)) return *freq;
   if (std::binary_search(uniform_members_.begin(), uniform_members_.end(),
                          term)) {
     return uniform_avg_;

@@ -40,6 +40,15 @@ class TermHistogram {
   static TermHistogram Merge(const TermHistogram& a, double weight_a,
                              const TermHistogram& b, double weight_b);
 
+  /// Frequency(term) of Merge(a, weight_a, b, weight_b), computed from the
+  /// inputs without building the merge and bit-identical to it: the
+  /// weighted estimates for a term indexed on either side, the merged
+  /// uniform-bucket average (summed in Merge's order) for a term only in
+  /// the uniform buckets, 0 otherwise.
+  static double MergedFrequency(const TermHistogram& a, double weight_a,
+                                const TermHistogram& b, double weight_b,
+                                TermId term);
+
   /// Estimated centroid frequency of `term` in [0, 1].
   double Frequency(TermId term) const;
 
@@ -104,6 +113,16 @@ class TermHistogram {
   double uniform_avg_ = 0.0;
 
   void SortIndexed();
+
+  /// The exact frequency of an indexed term, or nullptr.
+  const double* IndexedFrequency(TermId term) const;
+
+  /// Calls fn(term, merged frequency estimate) for each member of
+  /// Merge(a, ., b, .)'s uniform bucket in ascending TermId order: the
+  /// union of both buckets minus the terms indexed on either side.
+  template <class Fn>
+  static void ForEachMergedUniform(const TermHistogram& a, double wa,
+                                   const TermHistogram& b, double wb, Fn fn);
 };
 
 }  // namespace xcluster

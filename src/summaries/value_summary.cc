@@ -358,4 +358,38 @@ size_t ValueSummary::SizeBytes() const {
   return 0;
 }
 
+MergedSelectivity::MergedSelectivity(const ValueSummary& a, double weight_a,
+                                     const ValueSummary& b, double weight_b)
+    : a_(a),
+      b_(b),
+      weight_a_(weight_a),
+      weight_b_(weight_b),
+      numeric_pair_(a.type() == ValueType::kNumeric && !b.empty()) {
+  if (numeric_pair_) {
+    numeric_merge_ = ValueSummary::Merge(a, weight_a, b, weight_b);
+  }
+}
+
+double MergedSelectivity::operator()(const AtomicPredicate& pred) const {
+  if (numeric_pair_) return numeric_merge_.AtomicSelectivity(pred);
+  // Merge returns the other side whole when one is empty, and otherwise
+  // takes a's type.
+  if (a_.empty()) return b_.AtomicSelectivity(pred);
+  if (b_.empty()) return a_.AtomicSelectivity(pred);
+  switch (pred.type) {
+    case ValueType::kString:
+      if (a_.type() != ValueType::kString) return 0.0;
+      return Pst::MergedSelectivity(a_.pst(), b_.pst(), pred.substring);
+    case ValueType::kText:
+      if (a_.type() != ValueType::kText) return 0.0;
+      return TermHistogram::MergedFrequency(a_.terms(), weight_a_, b_.terms(),
+                                            weight_b_, pred.term);
+    case ValueType::kNumeric:
+      return 0.0;  // a is not NUMERIC, so neither is the merge
+    case ValueType::kNone:
+      return 1.0;  // the trivial always-true predicate
+  }
+  return 0.0;
+}
+
 }  // namespace xcluster

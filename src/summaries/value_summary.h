@@ -115,6 +115,30 @@ class ValueSummary {
   TermHistogram terms_;
 };
 
+/// AtomicSelectivity of ValueSummary::Merge(a, weight_a, b, weight_b),
+/// bit-identical to the materialized merge's, mostly without building it.
+/// STRING and TEXT are read off the inputs (Pst::MergedSelectivity, which
+/// needs the predicate's substring stored in a or b, and
+/// TermHistogram::MergedFrequency); an empty side defers to the other.
+/// Two non-empty NUMERIC summaries are merged once, here: bucket
+/// alignment and coalescing have no bit-exact shortcut. The inputs must
+/// outlive this object.
+class MergedSelectivity {
+ public:
+  MergedSelectivity(const ValueSummary& a, double weight_a,
+                    const ValueSummary& b, double weight_b);
+
+  double operator()(const AtomicPredicate& pred) const;
+
+ private:
+  const ValueSummary& a_;
+  const ValueSummary& b_;
+  double weight_a_;
+  double weight_b_;
+  bool numeric_pair_;
+  ValueSummary numeric_merge_;  ///< built only for a NUMERIC pair
+};
+
 }  // namespace xcluster
 
 #endif  // XCLUSTER_SUMMARIES_VALUE_SUMMARY_H_

@@ -2,10 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "data/imdb.h"
+#include "data/treebank.h"
+#include "data/xmark.h"
+#include "synopsis/reference.h"
 #include "synopsis/size_model.h"
 
 namespace xcluster {
 namespace {
+
+/// Scores one pair with a fresh scorer.
+double MergeDelta(const GraphSynopsis& synopsis, SynNodeId u, SynNodeId v,
+                  const DeltaOptions& options) {
+  return DeltaScorer(options).MergeDelta(synopsis, u, v);
+}
 
 /// Root with two same-label children u, v that in turn share a child c.
 struct Pair {
@@ -173,6 +190,178 @@ TEST(DeltaTest, AtomicPredicateCapBoundsWork) {
   // Identical summaries: still zero under any cap.
   EXPECT_NEAR(MergeDelta(synopsis, u, v, tight), 0.0, 1e-9);
 }
+
+/// Reference scorer: enumerates the pair's predicates afresh and evaluates
+/// each on the materialized ValueSummary::Merge.
+double MaterializingMergeDelta(const GraphSynopsis& synopsis, SynNodeId u,
+                               SynNodeId v, const DeltaOptions& options) {
+  const SynNode& nu = synopsis.node(u);
+  const SynNode& nv = synopsis.node(v);
+  const double cu = nu.count;
+  const double cv = nv.count;
+  const double cw = cu + cv;
+  if (cw <= 0.0) return 0.0;
+
+  struct TargetCounts {
+    double from_u = 0.0;
+    double from_v = 0.0;
+  };
+  std::map<SynNodeId, TargetCounts> targets;
+  for (const SynEdge& edge : nu.children) {
+    SynNodeId t = (edge.target == u || edge.target == v) ? u : edge.target;
+    targets[t].from_u += edge.avg_count;
+  }
+  for (const SynEdge& edge : nv.children) {
+    SynNodeId t = (edge.target == u || edge.target == v) ? u : edge.target;
+    targets[t].from_v += edge.avg_count;
+  }
+  targets[kNoSynNode] = {1.0, 1.0};
+
+  std::vector<AtomicPredicate> preds(1);  // trivial: type kNone
+  if (options.use_value_summaries && options.atomic_pred_cap != 0) {
+    const size_t half = (options.atomic_pred_cap + 1) / 2;
+    for (const AtomicPredicate& p : nu.vsumm.AtomicPredicates(half)) {
+      preds.push_back(p);
+    }
+    for (const AtomicPredicate& p : nv.vsumm.AtomicPredicates(half)) {
+      preds.push_back(p);
+    }
+    if (preds.size() > options.atomic_pred_cap + 1) {
+      preds.resize(options.atomic_pred_cap + 1);
+    }
+  }
+  const bool value_laden =
+      options.use_value_summaries && (!nu.vsumm.empty() || !nv.vsumm.empty());
+  ValueSummary merged;
+  if (value_laden) merged = ValueSummary::Merge(nu.vsumm, cu, nv.vsumm, cv);
+  auto sigma = [](const ValueSummary& summary, const AtomicPredicate& p) {
+    return p.type == ValueType::kNone ? 1.0 : summary.AtomicSelectivity(p);
+  };
+
+  double delta = 0.0;
+  for (const AtomicPredicate& p : preds) {
+    const double su = sigma(nu.vsumm, p);
+    const double sv = sigma(nv.vsumm, p);
+    const double sw = sigma(merged, p);
+    for (const auto& [target, counts] : targets) {
+      const double aw = (cu * counts.from_u + cv * counts.from_v) / cw;
+      const double du = su * counts.from_u - sw * aw;
+      const double dv = sv * counts.from_v - sw * aw;
+      delta += cu * du * du + cv * dv * dv;
+    }
+  }
+  return delta;
+}
+
+struct DifferentialCase {
+  const char* name;
+  int dataset;  ///< 0 XMark, 1 IMDB, 2 Treebank
+  NumericSummaryKind numeric;
+  DeltaOptions options;
+};
+
+DeltaOptions WithCap(size_t cap, bool values = true) {
+  DeltaOptions options;
+  options.atomic_pred_cap = cap;
+  options.use_value_summaries = values;
+  return options;
+}
+
+void PrintTo(const DifferentialCase& c, std::ostream* os) { *os << c.name; }
+
+class MergeDeltaDifferentialTest
+    : public ::testing::TestWithParam<DifferentialCase> {};
+
+/// One scorer lives through a sequence of merges on a reference synopsis
+/// whose summaries were partly compressed (pruned PSTs, non-empty uniform
+/// term buckets, coarser histograms); every score it gives must equal the
+/// materializing oracle's bit for bit.
+TEST_P(MergeDeltaDifferentialTest, MatchesMaterializingScorer) {
+  const DifferentialCase& c = GetParam();
+  GeneratedDataset dataset;
+  if (c.dataset == 0) {
+    XMarkOptions options;
+    options.scale = 0.02;
+    dataset = GenerateXMark(options);
+  } else if (c.dataset == 1) {
+    ImdbOptions options;
+    options.scale = 0.02;
+    dataset = GenerateImdb(options);
+  } else {
+    TreebankOptions options;
+    options.scale = 0.02;
+    dataset = GenerateTreebank(options);
+  }
+  ReferenceOptions ref_options;
+  ref_options.numeric_summary = c.numeric;
+  GraphSynopsis synopsis = BuildReferenceSynopsis(dataset.doc, ref_options);
+
+  Rng rng(17);
+  for (SynNodeId id : synopsis.AliveNodes()) {
+    ValueSummary& vsumm = synopsis.node(id).vsumm;
+    if (!vsumm.empty() && rng.Bernoulli(0.4)) {
+      vsumm.Compress(1 + rng.Uniform(6));
+    }
+  }
+
+  DeltaScorer scorer(c.options);
+  size_t compared = 0;
+  for (int round = 0; round < 12; ++round) {
+    std::map<std::pair<SymbolId, ValueType>, std::vector<SynNodeId>> groups;
+    for (SynNodeId id : synopsis.AliveNodes()) {
+      const SynNode& node = synopsis.node(id);
+      groups[{node.label, node.type}].push_back(id);
+    }
+    std::vector<const std::vector<SynNodeId>*> mergeable;
+    for (const auto& [key, members] : groups) {
+      if (members.size() >= 2) mergeable.push_back(&members);
+    }
+    if (mergeable.empty()) break;
+    for (int k = 0; k < 80; ++k) {
+      const std::vector<SynNodeId>& group =
+          *mergeable[rng.Uniform(mergeable.size())];
+      const SynNodeId u = group[rng.Uniform(group.size())];
+      const SynNodeId v = group[rng.Uniform(group.size())];
+      if (u == v) continue;
+      const double got = scorer.MergeDelta(synopsis, u, v);
+      const double expected = MaterializingMergeDelta(synopsis, u, v,
+                                                      c.options);
+      ASSERT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
+          << "round " << round << ", pair (" << u << ", " << v
+          << "): " << got << " vs " << expected;
+      ++compared;
+    }
+    // Merge a random compatible pair; the scorer must stay valid.
+    const std::vector<SynNodeId>& group =
+        *mergeable[rng.Uniform(mergeable.size())];
+    const SynNodeId u = group[0];
+    const SynNodeId v = group[1 + rng.Uniform(group.size() - 1)];
+    synopsis.MergeNodes(u, v);
+    scorer.Forget(u);
+    scorer.Forget(v);
+  }
+  EXPECT_GT(compared, 500u);
+}
+
+constexpr NumericSummaryKind kHistogram = NumericSummaryKind::kHistogram;
+
+INSTANTIATE_TEST_SUITE_P(
+    Synopses, MergeDeltaDifferentialTest,
+    ::testing::Values(
+        DifferentialCase{"xmark", 0, kHistogram, WithCap(16)},
+        DifferentialCase{"xmark_odd_cap", 0, kHistogram, WithCap(5)},
+        DifferentialCase{"xmark_cap1", 0, kHistogram, WithCap(1)},
+        DifferentialCase{"xmark_structure_only", 0, kHistogram,
+                         WithCap(16, false)},
+        DifferentialCase{"imdb", 1, kHistogram, WithCap(16)},
+        DifferentialCase{"imdb_wavelet", 1, NumericSummaryKind::kWavelet,
+                         WithCap(16)},
+        DifferentialCase{"imdb_sample", 1, NumericSummaryKind::kSample,
+                         WithCap(7)},
+        DifferentialCase{"treebank", 2, kHistogram, WithCap(16)}),
+    [](const ::testing::TestParamInfo<DifferentialCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace xcluster

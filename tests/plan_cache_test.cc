@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,6 +16,48 @@
 #include "estimate/compiled_twig.h"
 #include "service/service.h"
 #include "synopsis/graph.h"
+
+// Global operator new/delete replacement (the whole unaligned family, so
+// sanitizer runtimes never pair their allocator with this one) that counts
+// this thread's allocations while armed, so a test can assert that a code
+// path allocates nothing.
+namespace {
+thread_local bool g_count_allocations = false;
+thread_local size_t g_allocations = 0;
+
+void* CountedAlloc(size_t size) noexcept {
+  if (g_count_allocations) ++g_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+// GCC flags free() on memory from operator new once these inline, although
+// the replacement pairs them deliberately.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(size_t size) {
+  if (void* p = CountedAlloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](size_t size) {
+  if (void* p = CountedAlloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new[](size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace xcluster {
 namespace {
@@ -49,6 +93,41 @@ TEST(PlanCacheTest, GetPutHitMissCounters) {
   // Different generation, same text: distinct key.
   EXPECT_EQ(cache.Get(2, "//a"), nullptr);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(PlanCacheTest, KeyAndViewHashIdentically) {
+  const std::string text = "//site/people/person[profile/@income]";
+  EXPECT_EQ(PlanKeyHash()(PlanKey{9, text}),
+            PlanKeyHash()(PlanKeyView{9, text}));
+  EXPECT_TRUE(PlanKeyEqual()(PlanKey{9, text}, PlanKeyView{9, text}));
+  EXPECT_FALSE(PlanKeyEqual()(PlanKey{8, text}, PlanKeyView{9, text}));
+}
+
+TEST(PlanCacheTest, WarmGetDoesNotAllocate) {
+  PlanCache cache(PlanCache::Options{16});
+  // Longer than any small-string buffer: an owning key would allocate.
+  const std::string text =
+      "//site/regions/africa/item[contains(description, \"gold\")]";
+  auto plan = EmptyPlan();
+  cache.Put(3, text, plan);
+  ASSERT_EQ(cache.Get(3, text), plan);
+
+  size_t hits = 0;
+  g_allocations = 0;
+  g_count_allocations = true;
+  for (int i = 0; i < 100; ++i) {
+    if (cache.Get(3, text) == plan) ++hits;
+  }
+  g_count_allocations = false;
+  EXPECT_EQ(hits, 100u);
+  EXPECT_EQ(g_allocations, 0u);
+
+  // The counter does see the allocation an owning key would cost.
+  g_count_allocations = true;
+  const PlanKey owning{3, std::string(text)};
+  g_count_allocations = false;
+  EXPECT_GT(g_allocations, 0u);
+  EXPECT_EQ(owning.text, text);
 }
 
 TEST(PlanCacheTest, FirstWriterWinsAndLruEvicts) {

@@ -20,10 +20,18 @@ GraphSynopsis MakeSynopsis() {
   return synopsis;
 }
 
+/// BuildPool with a fresh scorer under the default Delta options.
+std::vector<MergeCandidate> Pool(const GraphSynopsis& synopsis,
+                                 size_t pool_max, uint32_t level_cap,
+                                 size_t pair_sample_cap = 0) {
+  DeltaScorer scorer{DeltaOptions()};
+  return BuildPool(synopsis, pool_max, level_cap, &scorer, pair_sample_cap);
+}
+
 TEST(PoolTest, EnumeratesCompatiblePairsOnly) {
   GraphSynopsis synopsis = MakeSynopsis();
   std::vector<MergeCandidate> pool =
-      BuildPool(synopsis, 100, 0, DeltaOptions());
+      Pool(synopsis, 100, 0);
   // A-pairs: C(4,2)=6; B-pairs: C(3,2)=3. The root (level 1) is excluded.
   EXPECT_EQ(pool.size(), 9u);
   for (const MergeCandidate& candidate : pool) {
@@ -41,9 +49,9 @@ TEST(PoolTest, LevelFilterExcludesHighNodes) {
   synopsis.AddEdge(root, mid, 1.0);
   synopsis.AddEdge(mid, leaf, 1.0);
   std::vector<MergeCandidate> level0 =
-      BuildPool(synopsis, 100, 0, DeltaOptions());
+      Pool(synopsis, 100, 0);
   std::vector<MergeCandidate> level1 =
-      BuildPool(synopsis, 100, 1, DeltaOptions());
+      Pool(synopsis, 100, 1);
   // At level 1 the extra A (level 1) pairs with the four leaf As.
   EXPECT_EQ(level0.size(), 9u);
   EXPECT_EQ(level1.size(), 13u);
@@ -52,9 +60,9 @@ TEST(PoolTest, LevelFilterExcludesHighNodes) {
 TEST(PoolTest, PoolMaxKeepsBestCandidates) {
   GraphSynopsis synopsis = MakeSynopsis();
   std::vector<MergeCandidate> full =
-      BuildPool(synopsis, 100, 0, DeltaOptions());
+      Pool(synopsis, 100, 0);
   std::vector<MergeCandidate> capped =
-      BuildPool(synopsis, 3, 0, DeltaOptions());
+      Pool(synopsis, 3, 0);
   EXPECT_EQ(capped.size(), 3u);
   // Every retained candidate is at least as good as the worst overall.
   double worst_full = 0.0;
@@ -73,17 +81,17 @@ TEST(PoolTest, TypeMismatchExcluded) {
   SynNodeId a2 = synopsis.AddNode("A", ValueType::kString, 1.0);
   synopsis.AddEdge(root, a1, 1.0);
   synopsis.AddEdge(root, a2, 1.0);
-  EXPECT_TRUE(BuildPool(synopsis, 100, 0, DeltaOptions()).empty());
+  EXPECT_TRUE(Pool(synopsis, 100, 0).empty());
 }
 
 TEST(PoolTest, DeadNodesExcluded) {
   GraphSynopsis synopsis = MakeSynopsis();
   // Merge two As; the pool must not reference the dead originals.
   std::vector<MergeCandidate> pool =
-      BuildPool(synopsis, 100, 0, DeltaOptions());
+      Pool(synopsis, 100, 0);
   synopsis.MergeNodes(pool[0].u, pool[0].v);
   std::vector<MergeCandidate> after =
-      BuildPool(synopsis, 100, 0, DeltaOptions());
+      Pool(synopsis, 100, 0);
   for (const MergeCandidate& candidate : after) {
     EXPECT_TRUE(synopsis.node(candidate.u).alive);
     EXPECT_TRUE(synopsis.node(candidate.v).alive);
@@ -101,17 +109,18 @@ TEST(PoolTest, PairSamplingCapBoundsEvaluations) {
   }
   // 780 possible pairs, sampled down to ~100.
   std::vector<MergeCandidate> pool =
-      BuildPool(synopsis, 10000, 0, DeltaOptions(), 100);
+      Pool(synopsis, 10000, 0, 100);
   EXPECT_LE(pool.size(), 150u);
   EXPECT_GE(pool.size(), 50u);
 }
 
 TEST(PoolTest, EvaluateCandidateRecordsVersions) {
   GraphSynopsis synopsis = MakeSynopsis();
+  DeltaScorer scorer{DeltaOptions()};
   std::vector<MergeCandidate> pool =
-      BuildPool(synopsis, 100, 0, DeltaOptions());
+      Pool(synopsis, 100, 0);
   MergeCandidate refreshed =
-      EvaluateCandidate(synopsis, pool[0].u, pool[0].v, DeltaOptions());
+      EvaluateCandidate(synopsis, pool[0].u, pool[0].v, &scorer);
   EXPECT_EQ(refreshed.version_u, synopsis.node(pool[0].u).version);
   EXPECT_EQ(refreshed.version_v, synopsis.node(pool[0].v).version);
   EXPECT_GT(refreshed.savings, 0u);
@@ -132,7 +141,7 @@ TEST(PoolTest, IdenticalNodesRankFirst) {
   synopsis.AddEdge(a2, c, 2.0);
   synopsis.AddEdge(a3, c, 6.0);
   std::vector<MergeCandidate> pool =
-      BuildPool(synopsis, 100, 1, DeltaOptions());
+      Pool(synopsis, 100, 1);
   ASSERT_EQ(pool.size(), 3u);
   auto best = std::min_element(
       pool.begin(), pool.end(),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -259,6 +260,126 @@ TEST_P(PstPropertyTest, ExactnessAndBounds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PstPropertyTest,
                          ::testing::Values(7, 11, 19, 23, 31, 43));
+
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+/// Reference sampler: collects every stored substring in preorder
+/// (children pushed in order, popped last first), returns them as they are
+/// when they fit, else sorts by (length, bytewise) and stride-samples.
+/// Works from the public preorder Dump().
+std::vector<std::string> SortingSampleOracle(const Pst& pst, size_t cap) {
+  const std::vector<Pst::DumpNode> dump = pst.Dump();
+  std::vector<std::vector<size_t>> children(dump.size() + 1);  // 0 = root
+  for (size_t i = 0; i < dump.size(); ++i) {
+    children[static_cast<size_t>(dump[i].parent + 1)].push_back(i + 1);
+  }
+  std::vector<std::string> all;
+  std::vector<std::pair<size_t, std::string>> stack = {{0, ""}};
+  while (!stack.empty()) {
+    auto [node, prefix] = std::move(stack.back());
+    stack.pop_back();
+    if (node != 0) all.push_back(prefix);
+    for (size_t child : children[node]) {
+      stack.push_back({child, prefix + dump[child - 1].symbol});
+    }
+  }
+  if (all.size() <= cap || cap == 0) return all;
+  std::sort(all.begin(), all.end(), [](const auto& x, const auto& y) {
+    if (x.size() != y.size()) return x.size() < y.size();
+    return x < y;
+  });
+  std::vector<std::string> sampled;
+  const double stride =
+      static_cast<double>(all.size()) / static_cast<double>(cap);
+  for (size_t k = 0; k < cap; ++k) {
+    sampled.push_back(
+        all[static_cast<size_t>(stride * static_cast<double>(k))]);
+  }
+  return sampled;
+}
+
+/// Random strings over an alphabet that straddles the signed-char
+/// boundary, so bytewise order and char order disagree.
+std::vector<std::string> RandomStrings(Rng* rng, size_t count) {
+  const char alphabet[] = {'a', 'b', 'z', '\x7f', '\x80', '\xc3', '\xff'};
+  std::vector<std::string> strings;
+  for (size_t i = 0; i < count; ++i) {
+    std::string s;
+    const size_t len = 1 + rng->Uniform(9);
+    for (size_t j = 0; j < len; ++j) {
+      s += alphabet[rng->Uniform(sizeof(alphabet))];
+    }
+    strings.push_back(std::move(s));
+  }
+  return strings;
+}
+
+/// Random PSTs: built at varying depths, then pruned (both schemes) or
+/// merged, so trees with removed leaves and reordered children appear.
+std::vector<Pst> RandomPsts(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Pst> psts;
+  for (int round = 0; round < 6; ++round) {
+    Pst built = Pst::Build(RandomStrings(&rng, 1 + rng.Uniform(30)),
+                           1 + rng.Uniform(5));
+    psts.push_back(built);
+    psts.push_back(built.Pruned(built.node_count() / 3));
+    Pst by_count = built;
+    by_count.PruneByCount(1 + rng.Uniform(20));
+    psts.push_back(by_count);
+    psts.push_back(Pst::Merge(by_count, psts[rng.Uniform(psts.size())]));
+  }
+  psts.push_back(Pst());
+  psts.push_back(Pst::Build({}, 3));
+  return psts;
+}
+
+class PstSampleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PstSampleTest, SampleSubstringsMatchesSortingOracle) {
+  for (const Pst& pst : RandomPsts(GetParam())) {
+    const size_t n = pst.node_count();
+    for (size_t cap : {size_t{0}, size_t{1}, size_t{16}, n == 0 ? 0 : n - 1,
+                       n, n + 7}) {
+      EXPECT_EQ(pst.SampleSubstrings(cap), SortingSampleOracle(pst, cap))
+          << "cap " << cap << ", " << n << " nodes";
+    }
+  }
+}
+
+TEST_P(PstSampleTest, MergedSelectivityMatchesMaterializedMerge) {
+  const std::vector<Pst> psts = RandomPsts(GetParam());
+  const Pst empty;
+  std::vector<std::pair<const Pst*, const Pst*>> pairs;
+  for (const Pst& pst : psts) {
+    pairs.push_back({&pst, &empty});
+    pairs.push_back({&empty, &pst});
+  }
+  Rng rng(GetParam() * 31 + 1);
+  for (int k = 0; k < 40; ++k) {
+    pairs.push_back({&psts[rng.Uniform(psts.size())],
+                     &psts[rng.Uniform(psts.size())]});
+  }
+  for (const auto& [pa, pb] : pairs) {
+    const Pst& a = *pa;
+    const Pst& b = *pb;
+    const Pst merged = Pst::Merge(a, b);
+    for (const Pst* side : {&a, &b}) {
+      for (const std::string& s : side->SampleSubstrings(0)) {
+        const double expected = merged.Selectivity(s);
+        const double got = Pst::MergedSelectivity(a, b, s);
+        EXPECT_TRUE(SameBits(got, expected))
+            << "substring of " << s.size() << " bytes: " << got << " vs "
+            << expected;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PstSampleTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13));
 
 }  // namespace
 }  // namespace xcluster

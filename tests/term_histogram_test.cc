@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -233,6 +236,51 @@ TEST_P(TermHistogramPropertyTest, CompressAndMergeInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TermHistogramPropertyTest,
                          ::testing::Values(3, 9, 27, 81, 243));
+
+/// MergedFrequency must equal Merge(...).Frequency bit for bit: on fresh
+/// and Compressed inputs (non-empty uniform buckets, terms indexed on one
+/// side and bucketed on the other), zero weights, and terms in neither.
+class MergedFrequencyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MergedFrequencyTest, MatchesMaterializedMerge) {
+  Rng rng(GetParam());
+  constexpr TermId kVocab = 40;
+  std::vector<TermHistogram> hists = {TermHistogram()};
+  for (int i = 0; i < 8; ++i) {
+    std::vector<TermSet> texts;
+    const size_t n = 1 + rng.Uniform(30);
+    for (size_t k = 0; k < n; ++k) {
+      TermSet text;
+      for (size_t j = rng.Uniform(8); j > 0; --j) {
+        text.push_back(static_cast<TermId>(rng.Uniform(kVocab)));
+      }
+      std::sort(text.begin(), text.end());
+      text.erase(std::unique(text.begin(), text.end()), text.end());
+      texts.push_back(std::move(text));
+    }
+    TermHistogram hist = TermHistogram::Build(texts);
+    hists.push_back(hist);
+    hist.Compress(1 + rng.Uniform(hist.indexed_count() + 1));
+    hists.push_back(hist);
+  }
+  const double weights[] = {0.0, 1.0, 3.0, 17.0, 0.1};
+  for (int pair = 0; pair < 60; ++pair) {
+    const TermHistogram& a = hists[rng.Uniform(hists.size())];
+    const TermHistogram& b = hists[rng.Uniform(hists.size())];
+    const double wa = weights[rng.Uniform(5)];
+    const double wb = weights[rng.Uniform(5)];
+    const TermHistogram merged = TermHistogram::Merge(a, wa, b, wb);
+    for (TermId t = 0; t < kVocab + 5; ++t) {  // the last 5 are in neither
+      const double expected = merged.Frequency(t);
+      const double got = TermHistogram::MergedFrequency(a, wa, b, wb, t);
+      EXPECT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
+          << "term " << t << ": " << got << " vs " << expected;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MergedFrequencyTest,
+                         ::testing::Values(2, 4, 6, 8, 10));
 
 }  // namespace
 }  // namespace xcluster
