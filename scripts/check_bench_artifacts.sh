@@ -10,6 +10,7 @@ set -euo pipefail
 ROOT="${1:-.}"
 CHECK="$ROOT/scripts/check_metrics_schema.py"
 
+python3 "$CHECK" "$ROOT/BENCH_build.json"
 python3 "$CHECK" "$ROOT/BENCH_service.json"
 python3 "$CHECK" "$ROOT/BENCH_estimator.json"
 python3 "$CHECK" "$ROOT/BENCH_net.json" \

@@ -29,7 +29,9 @@ BENCH files (auto-detected by their top-level "benchmark"/"entries" keys)
 are checked for a non-empty entries array of named measurements plus a
 structurally valid embedded metrics snapshot; the "service" bench must
 additionally show serving activity (non-zero service.requests.ok and a
-populated service.request_latency_ns histogram).
+populated service.request_latency_ns histogram); the "build" bench must
+stamp its source revision and give every timing as a median of at least
+three runs with its min and max.
 
 Flight dumps (auto-detected by their top-level "flight_records" key) are
 checked record by record: hex trace ids, known lanes and statuses, and
@@ -204,6 +206,14 @@ BENCH_REQUIRED = {
         ],
         ["estimate.latency_ns"],
     ),
+    "build": (
+        [
+            "build.builds",
+            "build.candidates_evaluated",
+            "build.merges_applied",
+        ],
+        ["build.phase1_ns", "build.phase2_ns"],
+    ),
     "net": (
         [
             "net.frames.rx",
@@ -232,7 +242,45 @@ BENCH_REQUIRED_ENTRIES = {
         "cold_start/xcsf",
         "cold_start_speedup",
     ),
+    "build": (
+        "xmark/scale:0.5",
+        "xmark/scale:1",
+        "xmark/scale:2",
+        "xmark/scale:4",
+    ),
 }
+
+# The build bench reports each timing as a median of at least
+# BUILD_MIN_RUNS runs with its min and max, and stamps the source revision.
+BUILD_SPREADS = ("phase1_s", "phase2_s", "build_s", "us_per_candidate")
+BUILD_COUNTS = ("candidates_evaluated", "merges_applied")
+BUILD_MIN_RUNS = 3
+
+
+def check_build_bench(report):
+    revision = report.get("git_sha")
+    if not isinstance(revision, str) or not revision:
+        fail("bench 'build': 'git_sha' must be a non-empty string")
+    for entry in report["entries"]:
+        name = entry["name"]
+        runs = entry.get("runs")
+        if not isinstance(runs, (int, float)) or runs < BUILD_MIN_RUNS:
+            fail(f"bench 'build': entry '{name}' needs 'runs' >= "
+                 f"{BUILD_MIN_RUNS}")
+        for count in BUILD_COUNTS:
+            value = entry.get(count)
+            if not isinstance(value, (int, float)) or value < 0:
+                fail(f"bench 'build': entry '{name}' has no '{count}'")
+        for family in BUILD_SPREADS:
+            values = [entry.get(f"{family}_{stat}")
+                      for stat in ("min", "median", "max")]
+            if not all(isinstance(v, (int, float)) and v >= 0
+                       for v in values):
+                fail(f"bench 'build': entry '{name}' needs non-negative "
+                     f"'{family}_min/_median/_max'")
+            if not values[0] <= values[1] <= values[2]:
+                fail(f"bench 'build': entry '{name}' has "
+                     f"{family} min <= median <= max violated")
 
 
 def check_bench(report, require_counters=(), require_histograms=()):
@@ -278,6 +326,8 @@ def check_bench(report, require_counters=(), require_histograms=()):
         if name not in entry_names:
             fail(f"bench '{report['benchmark']}': required entry "
                  f"'{name}' missing")
+    if report.get("benchmark") == "build":
+        check_build_bench(report)
     metrics = report.get("metrics")
     if metrics is None:
         fail("bench: embedded 'metrics' snapshot missing")

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <map>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "build/pool.h"
@@ -15,32 +16,66 @@ namespace xcluster {
 
 namespace {
 
+/// A merge candidate as the heap holds it: its ordering key computed once,
+/// and only what a pop reads.
+struct HeapEntry {
+  double ratio;
+  SynNodeId u;
+  SynNodeId v;
+  uint32_t version_u;
+  uint32_t version_v;
+
+  explicit HeapEntry(const MergeCandidate& c)
+      : ratio(c.ratio()),
+        u(c.u),
+        v(c.v),
+        version_u(c.version_u),
+        version_v(c.version_v) {}
+};
+
 struct CandidateOrder {
-  bool operator()(const MergeCandidate& a, const MergeCandidate& b) const {
-    if (a.ratio() != b.ratio()) return a.ratio() > b.ratio();  // min-heap
+  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+    if (a.ratio != b.ratio) return a.ratio > b.ratio;  // min-heap
     if (a.u != b.u) return a.u > b.u;
     return a.v > b.v;
   }
 };
 
 using CandidateHeap =
-    std::priority_queue<MergeCandidate, std::vector<MergeCandidate>,
-                        CandidateOrder>;
+    std::priority_queue<HeapEntry, std::vector<HeapEntry>, CandidateOrder>;
 
-/// Alive nodes compatible with `w` (same label and type), excluding w.
-std::vector<SynNodeId> CompatiblePeers(const GraphSynopsis& synopsis,
-                                       SynNodeId w) {
-  std::vector<SynNodeId> peers;
-  const SynNode& node = synopsis.node(w);
-  for (SynNodeId id : synopsis.AliveNodes()) {
-    if (id == w) continue;
-    const SynNode& peer = synopsis.node(id);
-    if (peer.label == node.label && peer.type == node.type) {
-      peers.push_back(id);
+/// Alive node ids per (label, type), ascending. Kept current across merges,
+/// so finding a merged node's compatible peers does not rescan the arena.
+class PeerIndex {
+ public:
+  explicit PeerIndex(const GraphSynopsis& synopsis) {
+    for (SynNodeId id : synopsis.AliveNodes()) {
+      groups_[KeyOf(synopsis, id)].push_back(id);
     }
   }
-  return peers;
-}
+
+  /// Records that MergeNodes(u, v) returned w and returns w's group: w
+  /// (last, being the newest id) and its compatible peers.
+  const std::vector<SynNodeId>& Merged(const GraphSynopsis& synopsis,
+                                       SynNodeId u, SynNodeId v,
+                                       SynNodeId w) {
+    std::vector<SynNodeId>& group = groups_[KeyOf(synopsis, w)];
+    for (SynNodeId gone : {u, v}) {
+      group.erase(std::lower_bound(group.begin(), group.end(), gone));
+    }
+    group.push_back(w);
+    return group;
+  }
+
+ private:
+  using Key = std::pair<SymbolId, ValueType>;
+
+  static Key KeyOf(const GraphSynopsis& synopsis, SynNodeId id) {
+    return {synopsis.node(id).label, synopsis.node(id).type};
+  }
+
+  std::map<Key, std::vector<SynNodeId>> groups_;
+};
 
 /// Phase 1 under the localized-delta (or count-only) policy: a marginal-loss
 /// min-heap with per-node version staleness checks and level-scheduled pool
@@ -49,6 +84,7 @@ std::vector<SynNodeId> CompatiblePeers(const GraphSynopsis& synopsis,
 void GuidedMergePhase(GraphSynopsis* synopsis, const BuildOptions& options,
                       const DeltaOptions& delta_options, BuildStats* stats) {
   DeltaScorer scorer(delta_options);
+  PeerIndex peer_index(*synopsis);
   uint32_t level_cap = 0;
   // Counted once per stage, then kept current by subtracting each merge's
   // savings instead of recounting the whole arena per heap pop.
@@ -83,13 +119,14 @@ void GuidedMergePhase(GraphSynopsis* synopsis, const BuildOptions& options,
       continue;
     }
 
-    CandidateHeap heap(CandidateOrder(), std::move(pool));
+    CandidateHeap heap(CandidateOrder(),
+                       std::vector<HeapEntry>(pool.begin(), pool.end()));
     // Low-water mark: rebuild once the pool drains below Hl (halved for
     // pools that start small so tiny synopses don't rebuild per merge).
     const size_t low_water = std::min(options.pool_min, heap.size() / 2);
     size_t merges_this_stage = 0;
     while (!heap.empty() && structural > options.structural_budget) {
-      MergeCandidate candidate = heap.top();
+      const HeapEntry candidate = heap.top();
       heap.pop();
       if (!synopsis->node(candidate.u).alive ||
           !synopsis->node(candidate.v).alive) {
@@ -98,7 +135,7 @@ void GuidedMergePhase(GraphSynopsis* synopsis, const BuildOptions& options,
       if (candidate.version_u != synopsis->node(candidate.u).version ||
           candidate.version_v != synopsis->node(candidate.v).version) {
         // Stale: the neighborhood changed since scoring; re-evaluate lazily.
-        heap.push(
+        heap.emplace(
             EvaluateCandidate(*synopsis, candidate.u, candidate.v, &scorer));
         XCLUSTER_COUNTER_INC("build.candidates_evaluated");
         XCLUSTER_COUNTER_INC("build.candidates_rescored");
@@ -115,11 +152,13 @@ void GuidedMergePhase(GraphSynopsis* synopsis, const BuildOptions& options,
       if (stats != nullptr) ++stats->merges_applied;
 
       // Recompute losses in the new node's neighborhood: pair w against its
-      // compatible peers.
-      std::vector<SynNodeId> peers = CompatiblePeers(*synopsis, w);
-      XCLUSTER_COUNTER_ADD("build.candidates_evaluated", peers.size());
-      for (SynNodeId peer : peers) {
-        heap.push(EvaluateCandidate(*synopsis, peer, w, &scorer));
+      // compatible peers, in ascending id order.
+      const std::vector<SynNodeId>& group =
+          peer_index.Merged(*synopsis, candidate.u, candidate.v, w);
+      XCLUSTER_COUNTER_ADD("build.candidates_evaluated", group.size() - 1);
+      for (SynNodeId peer : group) {
+        if (peer == w) continue;
+        heap.emplace(EvaluateCandidate(*synopsis, peer, w, &scorer));
         if (stats != nullptr) ++stats->candidates_evaluated;
       }
       if (heap.size() < low_water) break;  // replenish the pool

@@ -1,7 +1,7 @@
 #include "build/compress.h"
 
 #include <algorithm>
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/telemetry/telemetry.h"
@@ -79,26 +79,32 @@ size_t CompressValueSummaries(GraphSynopsis* synopsis, size_t value_budget,
     step = std::max<size_t>(1, excess / (256 * 8));
   }
 
-  std::priority_queue<CompressCandidate, std::vector<CompressCandidate>,
-                      CandidateOrder>
-      heap;
+  // A binary heap kept with push_heap/pop_heap (the operations
+  // std::priority_queue runs, so the pop order is the same), which lets
+  // each popped candidate's replacement summary be moved out, not copied.
+  std::vector<CompressCandidate> heap;
+  auto push = [&heap](CompressCandidate&& candidate) {
+    heap.push_back(std::move(candidate));
+    std::push_heap(heap.begin(), heap.end(), CandidateOrder());
+  };
   for (SynNodeId id : synopsis->AliveNodes()) {
     CompressCandidate candidate;
     if (MakeCandidate(*synopsis, id, step, options, &candidate)) {
-      heap.push(std::move(candidate));
+      push(std::move(candidate));
     }
   }
 
   while (bytes > value_budget && !heap.empty()) {
-    CompressCandidate best = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), CandidateOrder());
+    CompressCandidate best = std::move(heap.back());
+    heap.pop_back();
     SynNode& node = synopsis->node(best.node);
     if (node.vsumm.SizeBytes() != best.size_at_eval) {
       // Stale (already compressed since scoring): rescore lazily.
       XCLUSTER_COUNTER_INC("compress.rescored");
       CompressCandidate fresh;
       if (MakeCandidate(*synopsis, best.node, step, options, &fresh)) {
-        heap.push(std::move(fresh));
+        push(std::move(fresh));
       }
       continue;
     }
@@ -108,7 +114,7 @@ size_t CompressValueSummaries(GraphSynopsis* synopsis, size_t value_budget,
     bytes -= best.saved;
     CompressCandidate next;
     if (MakeCandidate(*synopsis, best.node, step, options, &next)) {
-      heap.push(std::move(next));
+      push(std::move(next));
     }
   }
   return synopsis->ValueBytes();

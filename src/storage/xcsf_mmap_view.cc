@@ -26,12 +26,6 @@ uint32_t ReadU32(std::string_view bytes, size_t offset) {
   return v;
 }
 
-uint64_t ReadU64(std::string_view bytes, size_t offset) {
-  uint64_t v = 0;
-  std::memcpy(&v, bytes.data() + offset, sizeof(v));
-  return v;
-}
-
 /// Owns one read-only file mapping; unmapped on destruction. Held behind
 /// shared_ptr<const void> so FlatSynopsis snapshots pin it and hot-swap
 /// unmaps on last release.

@@ -1,8 +1,10 @@
 #include "summaries/pst.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <limits>
 #include <queue>
 #include <utility>
@@ -37,15 +39,19 @@ Pst Pst::Build(const std::vector<std::string>& strings, size_t max_depth) {
   pst.total_ = static_cast<double>(strings.size());
   pst.nodes_[kRoot].count = pst.total_;
 
-  uint64_t stamp = 0;
+  // last_seen[node] = 1 + index of the last string counted at node, so a
+  // substring occurring twice in one string counts once.
+  std::vector<size_t> last_seen(1, 0);
+  size_t stamp = 0;
   for (const std::string& s : strings) {
     ++stamp;
     for (size_t i = 0; i < s.size(); ++i) {
       uint32_t node = kRoot;
       for (size_t d = 0; d < max_depth && i + d < s.size(); ++d) {
         node = pst.GetOrAddChild(node, s[i + d]);
-        if (pst.nodes_[node].stamp != stamp) {
-          pst.nodes_[node].stamp = stamp;
+        if (node == last_seen.size()) last_seen.push_back(0);
+        if (last_seen[node] != stamp) {
+          last_seen[node] = stamp;
           pst.nodes_[node].count += 1.0;
         }
       }
@@ -202,26 +208,92 @@ std::string Pst::StringOf(uint32_t node) const {
   return out;
 }
 
-double Pst::PruningError(uint32_t node) const {
-  const double before = nodes_[node].count;
-  // Estimate for the node's string once the node is gone. The walk is
-  // const-unsafe to do by temporarily killing the node, so emulate: the
-  // estimate after pruning matches the Markov extension of the parent's
-  // string by the leaf symbol.
-  std::string s = StringOf(node);
-  Pst* self = const_cast<Pst*>(this);
-  self->nodes_[node].alive = false;
-  double after = EstimateCount(s);
-  self->nodes_[node].alive = true;
-  return std::abs(before - after);
+double Pst::ComputePruningError(uint32_t node, uint32_t* dependency) const {
+  *dependency = kRoot;
+  // The node's string s = s[0..d), spelled root to node.
+  size_t d = 0;
+  for (uint32_t cur = node; cur != kRoot; cur = nodes_[cur].parent) ++d;
+  char inline_symbols[64];
+  std::string long_symbols;
+  char* s = inline_symbols;
+  if (d > sizeof(inline_symbols)) {
+    long_symbols.resize(d);
+    s = long_symbols.data();
+  }
+  size_t at = d;
+  for (uint32_t cur = node; cur != kRoot; cur = nodes_[cur].parent) {
+    s[--at] = nodes_[cur].symbol;
+  }
+
+  // EstimateCount(s) with the node gone: the prefix walk stops at the
+  // parent, s[0..d-1), and one Markov step extends it by s[d-1] at the
+  // smallest j whose context s[j..d-1) is stored with a positive count and
+  // whose extension s[j..d) is stored. j = 0 always fails, since its
+  // extension is the node itself.
+  //
+  // Counts never change and pruning only removes nodes, so every j that
+  // fails now fails forever. The step found, if any, stays the same while
+  // its extension node lives, and so does its context, the extension's
+  // parent: that extension is the result's only removable dependency.
+  double after = 0.0;
+  if (total_ > 0.0) {
+    const size_t pos = d - 1;
+    const size_t j_lo = d > max_depth_ ? d - max_depth_ : 0;
+    double p = nodes_[nodes_[node].parent].count / total_;
+    for (size_t j = std::max<size_t>(j_lo, 1); j <= pos; ++j) {
+      uint32_t context = kRoot;
+      size_t i = j;
+      for (; i < pos; ++i) {
+        context = FindChild(context, s[i]);
+        if (context == kRoot) break;
+      }
+      if (i < pos) continue;  // context not stored
+      const double context_count = j == pos ? total_ : nodes_[context].count;
+      if (context_count <= 0.0) continue;
+      const uint32_t extension = FindChild(context, s[pos]);
+      if (extension == kRoot) continue;
+      const double extension_count = nodes_[extension].count;
+      if (extension_count < 0.0) continue;
+      p *= extension_count / context_count;
+      after = std::min(p, 1.0) * total_;
+      *dependency = extension;
+      break;
+    }
+  }
+  return std::abs(nodes_[node].count - after);
+}
+
+double Pst::PruningError(uint32_t node) {
+  Node& leaf = nodes_[node];
+  if (!leaf.error_valid) {
+    uint32_t dependency = kRoot;
+    leaf.error = ComputePruningError(node, &dependency);
+    leaf.error_valid = true;
+    if (dependency != kRoot) {
+      leaf.next_dependent = nodes_[dependency].first_dependent;
+      nodes_[dependency].first_dependent = node;
+    }
+  }
+#ifndef NDEBUG
+  uint32_t unused = kRoot;
+  const double fresh = ComputePruningError(node, &unused);
+  assert(std::memcmp(&fresh, &leaf.error, sizeof(fresh)) == 0);
+#endif
+  return leaf.error;
 }
 
 void Pst::RemoveLeaf(uint32_t node) {
-  nodes_[node].alive = false;
+  Node& leaf = nodes_[node];
+  leaf.alive = false;
   --live_nodes_;
-  auto& siblings = nodes_[nodes_[node].parent].children;
+  auto& siblings = nodes_[leaf.parent].children;
   siblings.erase(std::remove(siblings.begin(), siblings.end(), node),
                  siblings.end());
+  for (uint32_t dependent = leaf.first_dependent; dependent != kRoot;
+       dependent = nodes_[dependent].next_dependent) {
+    nodes_[dependent].error_valid = false;
+  }
+  leaf.first_dependent = kRoot;
 }
 
 bool Pst::CanPrune() const {

@@ -51,6 +51,10 @@ class Pst {
   double Selectivity(std::string_view qs) const;
 
   /// Prunes `num_leaves` leaves (st_cmprs(u, b)); depth-1 nodes are kept.
+  /// Each leaf's pruning error is cached in the tree, across calls and
+  /// copies, and a removal invalidates exactly the cached errors that
+  /// depend on the removed node, so the leaves removed are those a full
+  /// recomputation of every error per call would remove.
   void Prune(size_t num_leaves);
 
   /// Baseline pruning scheme for the ablation study: removes the
@@ -99,16 +103,26 @@ class Pst {
                       size_t max_depth);
 
  private:
-  struct Node {
-    char symbol = 0;
-    double count = 0.0;
-    uint32_t parent = 0;
-    uint64_t stamp = 0;  // build-time dedup marker
-    bool alive = true;
-    std::vector<uint32_t> children;  // indices into nodes_
-  };
+  friend class PstOracle;  // the uncached reference Prune of the tests
 
   static constexpr uint32_t kRoot = 0;
+
+  // Fields are ordered so a node packs into 56 bytes, padding included: the
+  // arena is most of a STRING summary's memory.
+  struct Node {
+    double count = 0.0;
+    double error = 0.0;  // cached PruningError, meaningful if error_valid
+    std::vector<uint32_t> children;  // indices into nodes_
+    uint32_t parent = 0;
+    // Intrusive list of the leaves whose cached error depends on this node
+    // (see ComputePruningError), linked through next_dependent; kRoot ends
+    // it.
+    uint32_t first_dependent = kRoot;
+    uint32_t next_dependent = kRoot;
+    char symbol = 0;
+    bool alive = true;
+    bool error_valid = false;
+  };
 
   uint32_t FindChild(uint32_t node, char symbol) const;
   uint32_t GetOrAddChild(uint32_t node, char symbol);
@@ -123,9 +137,17 @@ class Pst {
   /// String encoded by `node` (root-to-node symbols).
   std::string StringOf(uint32_t node) const;
 
-  /// Estimation error introduced by pruning leaf `node`.
-  double PruningError(uint32_t node) const;
+  /// Estimation error introduced by pruning leaf `node` (depth >= 2): the
+  /// absolute difference between its count and EstimateCount of its string
+  /// with the node gone. Sets `dependency` to the only node whose removal
+  /// can change the result, or kRoot if none can.
+  double ComputePruningError(uint32_t node, uint32_t* dependency) const;
 
+  /// ComputePruningError(node) through the per-node cache.
+  double PruningError(uint32_t node);
+
+  /// Removes leaf `node` and invalidates the cached errors that depend on
+  /// it.
   void RemoveLeaf(uint32_t node);
 
   std::vector<Node> nodes_;

@@ -2,6 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <queue>
+#include <string>
+#include <vector>
+
+#include "build/builder.h"
+#include "core/serialize.h"
+#include "data/imdb.h"
+#include "data/treebank.h"
+#include "data/xmark.h"
+#include "pst_oracle.h"
+#include "synopsis/reference.h"
+
 namespace xcluster {
 namespace {
 
@@ -146,6 +161,146 @@ TEST(CompressTest, LargerStepCompressesFaster) {
   size_t after_coarse = CompressValueSummaries(&b, budget, coarse);
   EXPECT_LE(after_fine, budget);
   EXPECT_LE(after_coarse, budget);
+}
+
+/// The phase-2 loop as it was before its heap moved candidates out and
+/// PSTs cached pruning errors: a std::priority_queue whose top is copied,
+/// and STRING summaries pruned by PstOracle, recomputing every leaf's error
+/// per application.
+struct OracleCandidate {
+  SynNodeId node = kNoSynNode;
+  ValueSummary replacement;
+  double delta = 0.0;
+  size_t saved = 0;
+  size_t size_at_eval = 0;
+
+  double ratio() const {
+    return delta / static_cast<double>(saved == 0 ? 1 : saved);
+  }
+};
+
+struct OracleOrder {
+  bool operator()(const OracleCandidate& a, const OracleCandidate& b) const {
+    if (a.ratio() != b.ratio()) return a.ratio() > b.ratio();
+    return a.node > b.node;
+  }
+};
+
+bool MakeOracleCandidate(const GraphSynopsis& synopsis, SynNodeId node,
+                         size_t step, const CompressOptions& options,
+                         OracleCandidate* candidate) {
+  const ValueSummary& vsumm = synopsis.node(node).vsumm;
+  if (vsumm.empty() || !vsumm.CanCompress()) return false;
+  ValueSummary replacement = vsumm;
+  size_t saved = 0;
+  if (options.voptimal_histograms && vsumm.type() == ValueType::kNumeric &&
+      vsumm.numeric_kind() == NumericSummaryKind::kHistogram &&
+      vsumm.histogram().bucket_count() > 1) {
+    const size_t buckets = vsumm.histogram().bucket_count();
+    const size_t target = buckets > step ? buckets - step : 1;
+    *replacement.mutable_histogram() = vsumm.histogram().VOptimal(target);
+    saved = vsumm.SizeBytes() - replacement.SizeBytes();
+  } else if (vsumm.type() == ValueType::kString) {
+    PstOracle::Prune(replacement.mutable_pst(), step);
+    const size_t after = replacement.SizeBytes();
+    saved = vsumm.SizeBytes() > after ? vsumm.SizeBytes() - after : 0;
+  } else {
+    saved = replacement.Compress(step);
+  }
+  if (saved == 0) return false;
+  candidate->node = node;
+  candidate->delta =
+      CompressionDelta(synopsis, node, replacement, options.delta);
+  candidate->replacement = std::move(replacement);
+  candidate->saved = saved;
+  candidate->size_at_eval = vsumm.SizeBytes();
+  return true;
+}
+
+size_t OracleCompress(GraphSynopsis* synopsis, size_t value_budget,
+                      const CompressOptions& options) {
+  size_t bytes = synopsis->ValueBytes();
+  if (bytes <= value_budget) return bytes;
+  size_t step = options.step;
+  if (step == 0) step = std::max<size_t>(1, (bytes - value_budget) / (256 * 8));
+  std::priority_queue<OracleCandidate, std::vector<OracleCandidate>,
+                      OracleOrder>
+      heap;
+  for (SynNodeId id : synopsis->AliveNodes()) {
+    OracleCandidate candidate;
+    if (MakeOracleCandidate(*synopsis, id, step, options, &candidate)) {
+      heap.push(std::move(candidate));
+    }
+  }
+  while (bytes > value_budget && !heap.empty()) {
+    OracleCandidate best = heap.top();
+    heap.pop();
+    SynNode& node = synopsis->node(best.node);
+    OracleCandidate next;
+    if (node.vsumm.SizeBytes() != best.size_at_eval) {
+      if (MakeOracleCandidate(*synopsis, best.node, step, options, &next)) {
+        heap.push(std::move(next));
+      }
+      continue;
+    }
+    node.vsumm = std::move(best.replacement);
+    bytes -= best.saved;
+    if (MakeOracleCandidate(*synopsis, best.node, step, options, &next)) {
+      heap.push(std::move(next));
+    }
+  }
+  return synopsis->ValueBytes();
+}
+
+/// Reference synopses of the three generators, plus each after phase 1 to
+/// a quarter of its structural bytes (merged PSTs, histograms and term
+/// histograms).
+std::vector<GraphSynopsis> DifferentialInputs() {
+  std::vector<GeneratedDataset> datasets;
+  XMarkOptions xmark;
+  xmark.scale = 0.02;
+  datasets.push_back(GenerateXMark(xmark));
+  ImdbOptions imdb;
+  imdb.scale = 0.02;
+  datasets.push_back(GenerateImdb(imdb));
+  TreebankOptions treebank;
+  treebank.scale = 0.02;
+  datasets.push_back(GenerateTreebank(treebank));
+  std::vector<GraphSynopsis> inputs;
+  for (const GeneratedDataset& dataset : datasets) {
+    GraphSynopsis reference =
+        BuildReferenceSynopsis(dataset.doc, ReferenceOptions());
+    BuildOptions phase1;
+    phase1.structural_budget = reference.StructuralBytes() / 4;
+    phase1.value_budget = std::numeric_limits<size_t>::max();
+    inputs.push_back(XClusterBuild(reference, phase1, nullptr));
+    inputs.push_back(std::move(reference));
+  }
+  return inputs;
+}
+
+TEST(CompressDifferentialTest, MatchesUncachedPriorityQueueOracle) {
+  const std::vector<GraphSynopsis> inputs = DifferentialInputs();
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    for (size_t step : {size_t{0}, size_t{5}}) {
+      for (bool voptimal : {false, true}) {
+        for (size_t divisor : {size_t{2}, size_t{5}}) {
+          CompressOptions options;
+          options.step = step;
+          options.voptimal_histograms = voptimal;
+          const size_t budget = inputs[i].ValueBytes() / divisor;
+          GraphSynopsis got = inputs[i];
+          GraphSynopsis expected = inputs[i];
+          EXPECT_EQ(CompressValueSummaries(&got, budget, options),
+                    OracleCompress(&expected, budget, options));
+          EXPECT_EQ(EncodeSynopsisToString(got),
+                    EncodeSynopsisToString(expected))
+              << "input " << i << ", step " << step << ", voptimal "
+              << voptimal << ", budget 1/" << divisor;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -253,6 +253,35 @@ double MaterializingMergeDelta(const GraphSynopsis& synopsis, SynNodeId u,
   return delta;
 }
 
+TEST(DeltaTest, FoldedTargetSummedInTargetOrder) {
+  // u -> v folds onto the merged node, whose target id (u) sorts before
+  // the other children; fractional counts make the summation order show
+  // in the last bits.
+  GraphSynopsis synopsis;
+  SynNodeId root = synopsis.AddNode("R", ValueType::kNone, 1.0);
+  SynNodeId u = synopsis.AddNode("A", ValueType::kNone, 3.0);
+  SynNodeId v = synopsis.AddNode("A", ValueType::kNone, 7.0);
+  std::vector<SynNodeId> kids;
+  for (int k = 0; k < 4; ++k) {
+    kids.push_back(synopsis.AddNode("B", ValueType::kNone, 5.0));
+  }
+  synopsis.AddEdge(root, u, 3.0);
+  synopsis.AddEdge(u, kids[2], 0.7);
+  synopsis.AddEdge(u, v, 1.3);
+  synopsis.AddEdge(u, kids[0], 0.1);
+  synopsis.AddEdge(u, u, 0.45);
+  synopsis.AddEdge(v, kids[1], 2.9);
+  synopsis.AddEdge(v, kids[0], 0.35);
+  synopsis.AddEdge(v, kids[3], 1.7);
+  const double got = MergeDelta(synopsis, u, v, DeltaOptions());
+  const double expected =
+      MaterializingMergeDelta(synopsis, u, v, DeltaOptions());
+  EXPECT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
+      << got << " vs " << expected;
+  EXPECT_EQ(DeltaScorer(DeltaOptions()).Score(synopsis, u, v).savings,
+            MergeSavings(synopsis, u, v));
+}
+
 struct DifferentialCase {
   const char* name;
   int dataset;  ///< 0 XMark, 1 IMDB, 2 Treebank
@@ -275,7 +304,8 @@ class MergeDeltaDifferentialTest
 /// One scorer lives through a sequence of merges on a reference synopsis
 /// whose summaries were partly compressed (pruned PSTs, non-empty uniform
 /// term buckets, coarser histograms); every score it gives must equal the
-/// materializing oracle's bit for bit.
+/// materializing oracle's bit for bit, and its savings the sort-based
+/// MergeSavings, while its memoized sorted edges go stale merge by merge.
 TEST_P(MergeDeltaDifferentialTest, MatchesMaterializingScorer) {
   const DifferentialCase& c = GetParam();
   GeneratedDataset dataset;
@@ -323,12 +353,15 @@ TEST_P(MergeDeltaDifferentialTest, MatchesMaterializingScorer) {
       const SynNodeId u = group[rng.Uniform(group.size())];
       const SynNodeId v = group[rng.Uniform(group.size())];
       if (u == v) continue;
-      const double got = scorer.MergeDelta(synopsis, u, v);
+      const DeltaScorer::PairScore score = scorer.Score(synopsis, u, v);
+      const double got = score.delta;
       const double expected = MaterializingMergeDelta(synopsis, u, v,
                                                       c.options);
       ASSERT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
           << "round " << round << ", pair (" << u << ", " << v
           << "): " << got << " vs " << expected;
+      ASSERT_EQ(score.savings, MergeSavings(synopsis, u, v))
+          << "round " << round << ", pair (" << u << ", " << v << ")";
       ++compared;
     }
     // Merge a random compatible pair; the scorer must stay valid.

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "pst_oracle.h"
 
 namespace xcluster {
 namespace {
@@ -380,6 +383,132 @@ TEST_P(PstSampleTest, MergedSelectivityMatchesMaterializedMerge) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PstSampleTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13));
+
+/// The tree's observable state as bytes: total, depth, and each Dump() node
+/// (parent, symbol, count) packed without padding.
+std::string DumpBytes(const Pst& pst) {
+  std::string bytes;
+  auto append = [&bytes](const auto& field) {
+    bytes.append(reinterpret_cast<const char*>(&field), sizeof(field));
+  };
+  append(pst.total());
+  append(pst.max_depth());
+  for (const Pst::DumpNode& node : pst.Dump()) {
+    append(node.parent);
+    append(node.symbol);
+    append(node.count);
+  }
+  return bytes;
+}
+
+/// Copies `pst` with `drop` random leaves of depth >= 2 removed from its
+/// dump, ignoring pruning error: stored strings lose suffixes that their
+/// extensions keep, which error-ordered pruning rarely produces.
+Pst DropRandomLeaves(const Pst& pst, Rng* rng, size_t drop) {
+  std::vector<Pst::DumpNode> dump = pst.Dump();
+  for (size_t k = 0; k < drop; ++k) {
+    std::vector<bool> is_parent(dump.size(), false);
+    for (const Pst::DumpNode& node : dump) {
+      if (node.parent >= 0) is_parent[static_cast<size_t>(node.parent)] = true;
+    }
+    std::vector<size_t> leaves;
+    for (size_t i = 0; i < dump.size(); ++i) {
+      if (!is_parent[i] && dump[i].parent >= 0) leaves.push_back(i);
+    }
+    if (leaves.empty()) break;
+    const size_t gone = leaves[rng->Uniform(leaves.size())];
+    dump.erase(dump.begin() + static_cast<std::ptrdiff_t>(gone));
+    for (Pst::DumpNode& node : dump) {
+      if (node.parent > static_cast<int32_t>(gone)) --node.parent;
+    }
+  }
+  return Pst::FromDump(dump, pst.total(), pst.max_depth());
+}
+
+/// Trees for the pruning differential: built at depths 2-6, built then
+/// pruned (both schemes), merged, FromDump copies (fresh arena ids),
+/// trees with broken suffix closure, a FromDump tree deeper than its
+/// max_depth (the Markov step's context window starts past 0), and a
+/// zero-total tree.
+std::vector<Pst> PruningInputs(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Pst> psts;
+  for (size_t depth = 2; depth <= 6; ++depth) {
+    const Pst built = Pst::Build(RandomStrings(&rng, 5 + rng.Uniform(40)),
+                                 depth);
+    psts.push_back(built);
+    psts.push_back(built.Pruned(built.node_count() / 4));
+    Pst by_count = built;
+    by_count.PruneByCount(1 + rng.Uniform(20));
+    psts.push_back(by_count);
+    psts.push_back(DropRandomLeaves(built, &rng, built.node_count() / 3));
+    psts.push_back(Pst::FromDump(built.Dump(), built.total(), depth));
+    psts.push_back(Pst::Merge(psts[rng.Uniform(psts.size())], by_count));
+    if (depth >= 4) {
+      psts.push_back(Pst::FromDump(built.Dump(), built.total(), depth - 2));
+    }
+  }
+  const Pst last = psts.back();
+  psts.push_back(Pst::FromDump(last.Dump(), 0.0, last.max_depth()));
+  psts.push_back(Pst());
+  psts.push_back(Pst::Build({}, 3));
+  return psts;
+}
+
+class PstPruneTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PstPruneTest, CachedPruneMatchesOracle) {
+  for (const Pst& input : PruningInputs(GetParam())) {
+    const size_t n = input.node_count();
+    for (size_t k : {size_t{1}, n == 0 ? 0 : n - 1, n + 5}) {
+      Pst cached = input;
+      Pst oracle = input;
+      cached.Prune(k);
+      PstOracle::Prune(&oracle, k);
+      EXPECT_EQ(DumpBytes(cached), DumpBytes(oracle))
+          << "k " << k << ", " << n << " nodes";
+    }
+  }
+}
+
+TEST_P(PstPruneTest, RepeatedPruneOnObjectAndCopiesMatchesOracle) {
+  Rng rng(GetParam() * 7 + 3);
+  for (const Pst& input : PruningInputs(GetParam())) {
+    Pst cached = input;
+    Pst oracle = input;
+    for (int round = 0; round < 8 && cached.CanPrune(); ++round) {
+      const size_t k = 1 + rng.Uniform(4);
+      // A copy carries the cached errors; pruning it must leave the
+      // original's cache intact.
+      Pst cached_copy = cached;
+      Pst oracle_copy = oracle;
+      const size_t copy_k = 1 + rng.Uniform(6);
+      cached_copy.Prune(copy_k);
+      PstOracle::Prune(&oracle_copy, copy_k);
+      EXPECT_EQ(DumpBytes(cached_copy), DumpBytes(oracle_copy))
+          << "copy, round " << round;
+
+      cached.Prune(k);
+      PstOracle::Prune(&oracle, k);
+      ASSERT_EQ(DumpBytes(cached), DumpBytes(oracle)) << "round " << round;
+      if (round == 3) {
+        // Removals by count go through the same invalidation.
+        cached.PruneByCount(1);
+        oracle.PruneByCount(1);
+      }
+    }
+    // Errors cached in two trees do not leak into their merge.
+    Pst merged = Pst::Merge(cached, input);
+    Pst merged_oracle = Pst::Merge(oracle, input);
+    const size_t half = merged.node_count() / 2;
+    merged.Prune(half);
+    PstOracle::Prune(&merged_oracle, half);
+    EXPECT_EQ(DumpBytes(merged), DumpBytes(merged_oracle));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PstPruneTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 }  // namespace
 }  // namespace xcluster
